@@ -291,11 +291,23 @@ func (d *Block[T]) harvestHead() *bkBlock[T] {
 	return h
 }
 
-// resetBlock retires a detached, drained block for reuse: bump the epoch
-// (every in-flight claim CAS now fails), drain claimants still copying
-// values out, then clear slots so stale Entry values (which may pin
-// engine run state) are released.
+// resetBlock retires a detached, drained block for reuse: zero the commit
+// count, bump the epoch (every in-flight claim CAS now fails), drain
+// claimants still copying values out, then clear slots so stale Entry
+// values (which may pin engine run state) are released.
+//
+// The commit count must reach zero before the epoch bump publishes the
+// new index word (steal 0, unsealed). A thief scanning from a stale hint
+// reads w before commit (see scanFrom); were the order reversed it could
+// read the new epoch's w together with the old commit, pass c > steal,
+// and win its claim CAS against the fresh epoch, copying out a cleared
+// slot. That bogus claim would also leave the steal index at 1, so the
+// owner's next push into slot 0 would count as stolen and be lost. With
+// commit zeroed first, any thief that observes the new epoch also
+// observes commit 0 (both words are sequentially consistent) and reports
+// the block empty.
 func (d *Block[T]) resetBlock(b *bkBlock[T]) {
+	b.commit.Store(0)
 	for {
 		w := b.ss.Load()
 		if b.ss.CompareAndSwap(w, bkEpoch(w)+bkEpochInc) {
@@ -319,7 +331,6 @@ func (d *Block[T]) resetBlock(b *bkBlock[T]) {
 	if b.sumSpill.Load() {
 		b.sumSpill.Store(false)
 	}
-	b.commit.Store(0)
 	b.next.Store(nil)
 	b.prev = nil
 }
