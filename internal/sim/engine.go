@@ -866,6 +866,9 @@ func (e *engine) stealAttempt(w *worker, t int64) {
 	}
 
 	if ok {
+		// A success ends this walk: the next hunt starts with a fresh
+		// budget of colored probes, as in core and stealAttemptHier.
+		w.stealPhase = 0
 		if colored {
 			w.stats.ColoredStealsOK++
 			w.stats.TierSteals[core.TierGlobalColored]++
