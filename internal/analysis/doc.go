@@ -84,11 +84,12 @@
 // nodeterminism (nodeterminism.go) guards the simulator's
 // byte-identical-schedule guarantee (the paper's locality claims are
 // validated against deterministic virtual-time replays). In a
-// //nabbit:deterministic package (internal/sim, internal/simomp) it
-// forbids wall-clock and timer reads (time.Now/Since/Until/Sleep/After/
-// Tick/NewTimer/NewTicker/AfterFunc), any import of math/rand or
-// math/rand/v2 (internal/xrand's seeded generators are the sanctioned
-// source), ranging over maps, and spawning goroutines.
+// //nabbit:deterministic package (internal/sim, internal/simomp,
+// internal/sched) it forbids wall-clock and timer reads
+// (time.Now/Since/Until/Sleep/After/Tick/NewTimer/NewTicker/AfterFunc),
+// any import of math/rand or math/rand/v2 (internal/xrand's seeded
+// generators are the sanctioned source), ranging over maps, and spawning
+// goroutines.
 //
 // lockdiscipline (lockdiscipline.go) flags the two lock-usage mistakes
 // the engine's protocols are most exposed to: a sync.Mutex/RWMutex held

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nabbitc/internal/colorset"
 	"nabbitc/internal/deque"
+	"nabbitc/internal/sched"
 	"nabbitc/internal/xrand"
 )
 
@@ -206,17 +206,13 @@ type worker struct {
 	rng   *xrand.Rand
 	stats WorkerStats
 
-	// socketLo/socketHi bound this worker's socket peers (half-open
-	// worker-id range) and socketMask holds the same range as a color
-	// mask; both precomputed from the topology for the hierarchical
-	// steal tiers.
-	socketLo   int
-	socketHi   int
-	socketMask colorset.Set
+	// plan is this worker's steal walk (victim ranges, tier budgets,
+	// batching), fitted to its socket once at construction.
+	plan sched.Plan
 
 	// grp and ready are owner-only scratch reused across runs so the
 	// spawn/notify hot paths allocate only what escapes into deque items.
-	grp   grouper
+	grp   sched.Grouper[Key, *Node]
 	ready []*Node
 
 	// idleSince is the lazily started idle clock: zero until a steal
@@ -310,22 +306,15 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 			dq = deque.NewMutex[item](dqCap)
 		}
 		dq.SetWake(e.noteWork)
-		lo, hi := opts.Topology.SocketWorkers(i)
-		mask := colorset.New(opts.Workers)
-		for c := lo; c < hi; c++ {
-			mask.Add(c)
-		}
 		e.workers[i] = &worker{
-			id:         i,
-			color:      i,
-			e:          e,
-			dq:         dq,
-			rng:        xrand.NewWorker(p.Seed, i),
-			socketLo:   lo,
-			socketHi:   hi,
-			socketMask: mask,
-			grp:        newGrouper(opts.Workers),
-			parkCh:     make(chan struct{}, 1),
+			id:     i,
+			color:  i,
+			e:      e,
+			dq:     dq,
+			rng:    xrand.NewWorker(p.Seed, i),
+			plan:   p.StealPlan(opts.Topology, i),
+			grp:    sched.NewGrouper[Key, *Node](opts.Workers, p.Colored),
+			parkCh: make(chan struct{}, 1),
 		}
 	}
 	// NewEngine returns only after every worker has announced its initial
@@ -759,7 +748,7 @@ func (w *worker) exec(it item) {
 	}
 	w.markStarted(r)
 	defer w.rescue(r)
-	w.runItem(r, it)
+	w.runItem(r, it.Item)
 }
 
 // rescue is the engine's panic-isolation boundary: a panic escaping a
@@ -798,75 +787,30 @@ func (w *worker) rescue(r *graphRun) {
 // allocation.
 //
 //nabbit:noalloc
-func (w *worker) push(r *graphRun, it item) {
-	it.run = r
-	nw := len(w.e.workers)
-	var cs colorset.Set
-	if it.groups == nil {
-		cs = colorset.New(nw) //nabbit:alloc-ok colorset spill, only beyond InlineColors workers
-		if c := it.single.color; c >= 0 && c < nw {
-			cs.Add(c)
-		}
-	} else {
-		cs = colorsOf(it.groups, nw)
-	}
-	w.dq.PushBottom(deque.Entry[item]{Value: it, Colors: cs})
+func (w *worker) push(r *graphRun, it *sched.Item[Key, *Node]) {
+	w.dq.PushBottom(deque.Entry[item]{Value: item{run: r, Item: *it}, Colors: it.Colors(len(w.e.workers))})
 }
 
-// runItem interprets a morphing continuation: spawn_colors descends into
-// the half of the color groups containing this worker's color, leaving
-// the other half stealable; spawn_nodes then binary-splits the single
-// remaining color group the same way, finally executing one leaf.
+// runItem interprets a morphing continuation: each split step (see
+// sched.Item.Split) leaves one half stealable on the deque — spawn_colors
+// while several color groups remain, spawn_nodes within the last one —
+// and the worker then resolves the single leaf it descended into.
 //
 //nabbit:noalloc
-func (w *worker) runItem(r *graphRun, it item) {
-	if it.size() == 0 {
+func (w *worker) runItem(r *graphRun, it sched.Item[Key, *Node]) {
+	if it.Size() == 0 {
 		return
 	}
-	if it.groups == nil {
-		w.runGroup(r, it.owner, it.single)
-		return
-	}
-	groups := it.groups
 	colored := w.e.opts.Policy.Colored
-	for len(groups) > 1 {
-		mid := len(groups) / 2
-		first, second := groups[:mid], groups[mid:]
-		if colored && containsColor(second, w.color) && !containsColor(first, w.color) {
-			first, second = second, first
-		}
-		if len(second) == 1 {
-			w.push(r, item{owner: it.owner, single: second[0]})
-		} else {
-			w.push(r, item{owner: it.owner, groups: second})
-		}
-		groups = first
+	var rest sched.Item[Key, *Node]
+	for it.Split(w.color, colored, &rest) {
+		w.push(r, &rest)
 	}
-	w.runGroup(r, it.owner, groups[0])
-}
-
-// runGroup binary-splits a single color group, pushing inline single-group
-// continuations (no allocation), and resolves the final leaf.
-//
-//nabbit:noalloc
-func (w *worker) runGroup(r *graphRun, owner *Node, g group) {
-	if owner != nil {
-		keys := g.keys
-		for len(keys) > 1 {
-			mid := len(keys) / 2
-			w.push(r, item{owner: owner, single: group{color: g.color, keys: keys[mid:]}})
-			keys = keys[:mid]
-		}
-		w.tryInitCompute(r, owner, keys[0])
+	if it.Owner != nil {
+		w.tryInitCompute(r, it.Owner, it.Single.Keys[0])
 		return
 	}
-	nodes := g.nodes
-	for len(nodes) > 1 {
-		mid := len(nodes) / 2
-		w.push(r, item{single: group{color: g.color, nodes: nodes[mid:]}})
-		nodes = nodes[:mid]
-	}
-	w.computeAndNotify(r, nodes[0])
+	w.computeAndNotify(r, it.Single.Nodes[0])
 }
 
 // tryInitCompute resolves one predecessor key of owner: create the
@@ -910,9 +854,7 @@ func (w *worker) initAndCompute(r *graphRun, n *Node) {
 		w.computeAndNotify(r, n)
 		return
 	}
-	it := w.groupKeys(n, n.preds)
-	it.run = r
-	w.runItem(r, it)
+	w.runItem(r, w.grp.GroupKeys(n, n.preds, w.e.spec.Color))
 }
 
 // computeAndNotify executes a ready node, then notifies its successors,
@@ -979,7 +921,7 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 	}
 
 	succs := n.markComputed()
-	// ready reuses the worker's scratch; groupNodes copies out of it, and
+	// ready reuses the worker's scratch; GroupNodes copies out of it, and
 	// the single-ready fast path extracts the node before the recursion
 	// below reuses the scratch.
 	ready := w.ready[:0]
@@ -1008,54 +950,7 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 		w.computeAndNotify(r, n0)
 		return
 	}
-	it := w.groupNodes(ready)
-	it.run = r
-	w.runItem(r, it)
-}
-
-// victim picks a random worker other than w.
-func (w *worker) victim() *worker {
-	v := w.rng.Intn(len(w.e.workers) - 1)
-	if v >= w.id {
-		v++
-	}
-	return w.e.workers[v]
-}
-
-// socketVictim picks a random same-socket worker other than w; callers
-// ensure the socket holds at least two workers.
-func (w *worker) socketVictim() *worker {
-	v := w.socketLo + w.rng.Intn(w.socketHi-w.socketLo-1)
-	if v >= w.id {
-		v++
-	}
-	return w.e.workers[v]
-}
-
-// crossSocket reports whether v lives in a different socket than w.
-func (w *worker) crossSocket(v *worker) bool {
-	return v.id < w.socketLo || v.id >= w.socketHi
-}
-
-// attempt and hit account one steal probe / one successful steal of the
-// given tier on every counter that tracks it. Both are unconditional
-// array increments on worker-private memory — the fine-grained tier
-// anatomy rides the existing stats plumbing with no extra branches in
-// the probe loop.
-func (w *worker) attempt(t StealTier, colored bool) {
-	w.stats.StealAttempts++
-	w.stats.TierAttempts[t]++
-	if colored {
-		w.stats.ColoredAttempts++
-	}
-}
-
-func (w *worker) hit(t StealTier, colored bool) {
-	w.stats.StealsOK++
-	w.stats.TierSteals[t]++
-	if colored {
-		w.stats.ColoredStealsOK++
-	}
+	w.runItem(r, w.grp.GroupNodes(ready, (*Node).Color))
 }
 
 // takeBatch accounts a successful batched steal and adopts every item
@@ -1101,11 +996,11 @@ func (w *worker) idleSweep() bool {
 }
 
 // findWork implements the stealing policy: while enforcing the first
-// colored steal, only colored attempts count (bounded by
-// FirstStealMaxRounds sweeps); afterwards, the flat protocol makes
-// ColoredStealAttempts colored probes before each random steal, and the
-// hierarchical protocol walks the socket-tier victim order (see
-// Policy.Hierarchical).
+// colored steal, only global colored probes count (bounded by the plan's
+// give-up count); afterwards the worker walks its steal plan round after
+// round (see sched.Plan) — for the flat protocol ColoredStealAttempts
+// colored probes before each random steal, for the hierarchical one the
+// socket tiers first (see Policy.Hierarchical).
 //
 // Idle time accrues from the first failed probe to the return — the
 // all-hits fast path performs zero clock reads (cheap idle accounting;
@@ -1123,9 +1018,7 @@ func (w *worker) findWork() (item, bool) {
 // hunt is findWork without the idle-clock bookkeeping.
 func (w *worker) hunt() (item, bool) {
 	e := w.e
-	p := e.opts.Policy
-	nw := len(e.workers)
-	if nw == 1 {
+	if len(e.workers) == 1 {
 		// A lone worker has no victims, and nothing outside this
 		// goroutine can create work for a graph it is running: an empty
 		// deque here means its graphs are done (or stalled). Park
@@ -1139,64 +1032,29 @@ func (w *worker) hunt() (item, bool) {
 		return item{}, false
 	}
 
-	if w.firstStealPending {
-		maxChecks := int64(p.FirstStealMaxRounds) * int64(nw-1)
-		for !w.bail() {
-			v := w.victim()
-			w.stats.FirstStealChecks++
-			w.attempt(TierGlobalColored, true)
-			ent, out := v.dq.StealTopColored(w.color)
-			switch out {
-			case deque.StealOK:
-				w.firstStealPending = false
-				w.stats.FirstStealForcedOK = true
-				w.hit(TierGlobalColored, true)
-				return ent.Value, true
-			case deque.StealMiss:
-				w.stats.ColoredMisses++
-			}
-			w.noteProbeFailed()
-			if w.stats.FirstStealChecks >= maxChecks {
-				w.firstStealPending = false
-				break
-			}
-			if w.idleSweep() {
-				return item{}, false
-			}
+	pl := &w.plan
+	for w.firstStealPending && !w.bail() {
+		w.stats.FirstStealChecks++
+		if it, ok := w.probe(TierGlobalColored, pl.Victim(w.rng, TierGlobalColored), 0); ok {
+			w.firstStealPending = false
+			w.stats.FirstStealForcedOK = true
+			return it, true
 		}
-		if w.bail() {
+		if w.stats.FirstStealChecks >= pl.GiveUp() {
+			w.firstStealPending = false
+		} else if w.idleSweep() {
 			return item{}, false
 		}
 	}
 
-	if p.Hierarchical {
-		return w.huntHier()
-	}
-
 	for !w.bail() {
-		if p.Colored {
-			for i := 0; i < p.ColoredStealAttempts; i++ {
-				v := w.victim()
-				w.attempt(TierGlobalColored, true)
-				ent, out := v.dq.StealTopColored(w.color)
-				if out == deque.StealOK {
-					w.hit(TierGlobalColored, true)
-					return ent.Value, true
-				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
+		for ph := 0; ph < pl.Len(); ph++ {
+			t := pl.At(ph)
+			v := pl.Victim(w.rng, t)
+			if it, ok := w.probe(t, v, pl.Batch(v)); ok {
+				return it, true
 			}
 		}
-		v := w.victim()
-		w.attempt(TierGlobalRandom, false)
-		ent, out := v.dq.StealTop()
-		if out == deque.StealOK {
-			w.hit(TierGlobalRandom, false)
-			return ent.Value, true
-		}
-		w.noteProbeFailed()
 		if w.idleSweep() {
 			return item{}, false
 		}
@@ -1204,113 +1062,46 @@ func (w *worker) hunt() (item, bool) {
 	return item{}, false
 }
 
-// huntHier walks the two-level victim order: same-color and
-// socket-colored probes among socket peers, then socket-random, then the
-// global colored and random tiers with batched cross-socket steals.
-func (w *worker) huntHier() (item, bool) {
-	e := w.e
-	p := e.opts.Policy
-	// Socket tiers only make sense when the socket has peers AND is a
-	// strict subset of the machine; on a single-socket topology they
-	// would just duplicate the global tiers, so the protocol degenerates
-	// to the flat one there.
-	sockN := w.socketHi - w.socketLo
-	if sockN >= len(e.workers) {
-		sockN = 1
+// probe makes one steal attempt of tier t on worker v — a batched steal
+// of up to batch items when batch > 0 — and accounts it on every counter
+// that tracks it.
+func (w *worker) probe(t StealTier, v, batch int) (item, bool) {
+	colored := t.Colored()
+	w.stats.StealAttempts++
+	w.stats.TierAttempts[t]++
+	if colored {
+		w.stats.ColoredAttempts++
 	}
-	for !w.bail() {
-		if sockN > 1 && p.Colored {
-			// Tier 1: own color among socket peers.
-			for i := 0; i < p.OwnColorStealAttempts; i++ {
-				v := w.socketVictim()
-				w.attempt(TierOwnColor, true)
-				ent, out := v.dq.StealTopColored(w.color)
-				if out == deque.StealOK {
-					w.hit(TierOwnColor, true)
-					return ent.Value, true
-				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
-			}
-			// Tier 2: any color homed in this socket, among socket peers.
-			for i := 0; i < p.SocketColoredAttempts; i++ {
-				v := w.socketVictim()
-				w.attempt(TierSocketColored, true)
-				ent, out := v.dq.StealTopMasked(w.socketMask)
-				if out == deque.StealOK {
-					w.hit(TierSocketColored, true)
-					return ent.Value, true
-				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
-			}
-		}
-		if sockN > 1 {
-			// Tier 3: anything among socket peers.
-			for i := 0; i < p.SocketRandomAttempts; i++ {
-				v := w.socketVictim()
-				w.attempt(TierSocketRandom, false)
-				ent, out := v.dq.StealTop()
-				if out == deque.StealOK {
-					w.hit(TierSocketRandom, false)
-					return ent.Value, true
-				}
-				w.noteProbeFailed()
-			}
-		}
-		if p.Colored {
-			// Tier 4: exact color anywhere; cross-socket hits take a
-			// batch to amortize the remote visit.
-			for i := 0; i < p.ColoredStealAttempts; i++ {
-				v := w.victim()
-				w.attempt(TierGlobalColored, true)
-				if w.crossSocket(v) {
-					ents, out := v.dq.StealHalfColored(w.color, p.StealBatch)
-					if out == deque.StealOK {
-						w.hit(TierGlobalColored, true)
-						return w.takeBatch(ents), true
-					}
-					if out == deque.StealMiss {
-						w.stats.ColoredMisses++
-					}
-					w.noteProbeFailed()
-					continue
-				}
-				ent, out := v.dq.StealTopColored(w.color)
-				if out == deque.StealOK {
-					w.hit(TierGlobalColored, true)
-					return ent.Value, true
-				}
-				if out == deque.StealMiss {
-					w.stats.ColoredMisses++
-				}
-				w.noteProbeFailed()
-			}
-		}
-		// Tier 5: anything anywhere; cross-socket steals batch.
-		v := w.victim()
-		w.attempt(TierGlobalRandom, false)
-		if w.crossSocket(v) {
-			ents, out := v.dq.StealHalf(p.StealBatch)
-			if out == deque.StealOK {
-				w.hit(TierGlobalRandom, false)
-				return w.takeBatch(ents), true
-			}
-		} else {
-			ent, out := v.dq.StealTop()
-			if out == deque.StealOK {
-				w.hit(TierGlobalRandom, false)
-				return ent.Value, true
-			}
-		}
-		w.noteProbeFailed()
-		if w.idleSweep() {
-			return item{}, false
-		}
+	dq := w.e.workers[v].dq
+	var ent deque.Entry[item]
+	var ents []deque.Entry[item]
+	var out deque.StealOutcome
+	switch {
+	case t == TierSocketColored:
+		ent, out = dq.StealTopMasked(w.plan.Socket())
+	case colored && batch > 0:
+		ents, out = dq.StealHalfColored(w.color, batch)
+	case colored:
+		ent, out = dq.StealTopColored(w.color)
+	case batch > 0:
+		ents, out = dq.StealHalf(batch)
+	default:
+		ent, out = dq.StealTop()
 	}
+	switch out {
+	case deque.StealOK:
+		w.stats.StealsOK++
+		w.stats.TierSteals[t]++
+		if colored {
+			w.stats.ColoredStealsOK++
+		}
+		if ents != nil {
+			return w.takeBatch(ents), true
+		}
+		return ent.Value, true
+	case deque.StealMiss:
+		w.stats.ColoredMisses++
+	}
+	w.noteProbeFailed()
 	return item{}, false
 }

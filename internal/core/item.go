@@ -1,261 +1,13 @@
 package core
 
-import "nabbitc/internal/colorset"
+import "nabbitc/internal/sched"
 
-// The paper's spawn_colors/spawn_nodes recursion reorganizes a spawn of
-// many nodes so that the executing worker descends into the half of the
-// color groups containing its own color, while the other half is left
-// behind as a stealable continuation whose color set is advertised to the
-// runtime (cilkrts_set_next_colors). Go has no continuation stealing, so
-// that continuation is reified here as a deque item: an item *is* the
-// pending "spawn_colors(second_half)" call, carrying the remaining color
-// groups and the union of their colors for the thief's O(1) check.
-//
-// An item is one of two shapes, distinguished by owner:
-//   - owner != nil: predecessor work — the groups hold predecessor *keys*
-//     of owner, each to be resolved with tryInitCompute.
-//   - owner == nil: successor work — the groups hold ready *nodes*, each
-//     to be computed directly.
-//
-// Binary splitting produces a torrent of one-group continuations, so an
-// item stores a single group inline (the `single` field, authoritative
-// when groups == nil): the spawn hot path never allocates a one-element
-// group slice, and the pushed item's color mask is the group's color —
-// computed in O(1) instead of rescanning groups. Multi-group items carry
-// sub-slices of a grouping's freshly allocated (escaping) groups array.
-
-// group is a set of same-colored work: either pred keys (with nodes nil)
-// or ready nodes (with keys nil).
-type group struct {
-	color int
-	keys  []Key
-	nodes []*Node
-}
-
-func (g group) size() int {
-	if g.keys != nil {
-		return len(g.keys)
-	}
-	return len(g.nodes)
-}
-
-// item is a deque entry: a reified spawn_colors/spawn_nodes continuation.
-// When groups is nil the item holds exactly the inline single group
-// (possibly empty, for the zero item). run identifies the graph the
-// continuation belongs to — with many graphs in flight, workers
-// interleave items of different runs in one deque, and the run pointer
-// carries each item's node table and completion state along with it.
+// item is a deque entry: a morphing continuation (sched.Item, whose
+// grouping and splitting are shared with the simulator) plus the graph it
+// belongs to. With many graphs in flight, workers interleave items of
+// different runs in one deque, and the run pointer carries each item's
+// node table and completion state along with it.
 type item struct {
-	run    *graphRun
-	owner  *Node // non-nil for predecessor work
-	single group // inline one-group form, authoritative when groups == nil
-	groups []group
-}
-
-// size returns the number of leaf work units in the item.
-func (it item) size() int {
-	if it.groups == nil {
-		return it.single.size()
-	}
-	total := 0
-	for _, g := range it.groups {
-		total += g.size()
-	}
-	return total
-}
-
-// colorsOf returns the color mask advertised for an item holding these
-// groups, sized for nworkers colors. Colors outside the worker range are
-// skipped: no worker can prefer them, so advertising them is pointless
-// (and with an invalid coloring, Table III, every mask stays empty — all
-// colored steals miss, as intended).
-func colorsOf(groups []group, nworkers int) colorset.Set {
-	s := colorset.New(nworkers) //nabbit:alloc-ok colorset spill, only beyond InlineColors workers
-	for _, g := range groups {
-		if g.color >= 0 && g.color < nworkers {
-			s.Add(g.color)
-		}
-	}
-	return s
-}
-
-// containsColor reports whether any group has the given color.
-func containsColor(groups []group, color int) bool {
-	for _, g := range groups {
-		if g.color == color {
-			return true
-		}
-	}
-	return false
-}
-
-// distinctColor is grouping-scratch bookkeeping for one color observed in
-// a key or node list: its first-appearance index fixes the group order,
-// and off doubles as the placement cursor during the scatter pass.
-type distinctColor struct {
-	color int
-	count int32
-	off   int32
-}
-
-// grouper is the reusable per-worker grouping scratch that replaces the
-// per-call map[int]int: a color-indexed array with epoch stamps (O(1)
-// reset), the recorded per-element group indices from the counting pass,
-// and the distinct-color list. Only the scratch is reused — the group and
-// key/node slices a grouping emits always escape into deque items and are
-// freshly allocated per call.
-type grouper struct {
-	colorIdx []int32 // color -> index into distinct, valid iff stamp[c] == cur
-	stamp    []uint32
-	cur      uint32
-	elemGI   []int32 // per-element group index recorded during the count pass
-	distinct []distinctColor
-}
-
-func newGrouper(nworkers int) grouper {
-	return grouper{
-		colorIdx: make([]int32, nworkers),
-		stamp:    make([]uint32, nworkers),
-	}
-}
-
-// begin starts a grouping pass and returns the epoch stamp.
-func (g *grouper) begin() uint32 {
-	g.cur++
-	if g.cur == 0 {
-		// Epoch counter wrapped: invalidate all stamps the slow way once
-		// every 2^32 groupings.
-		for i := range g.stamp {
-			g.stamp[i] = 0
-		}
-		g.cur = 1
-	}
-	g.elemGI = g.elemGI[:0]
-	g.distinct = g.distinct[:0]
-	return g.cur
-}
-
-// noteColor records one element of color c, returning its group index.
-// Colors outside [0, len(colorIdx)) — possible only under the invalid-
-// coloring ablation — fall back to a linear scan of the distinct list.
-func (g *grouper) noteColor(c int) int {
-	gi := -1
-	if c >= 0 && c < len(g.colorIdx) {
-		if g.stamp[c] == g.cur {
-			gi = int(g.colorIdx[c])
-		}
-	} else {
-		for i := range g.distinct {
-			if g.distinct[i].color == c {
-				gi = i
-				break
-			}
-		}
-	}
-	if gi < 0 {
-		gi = len(g.distinct)
-		g.distinct = append(g.distinct, distinctColor{color: c})
-		if c >= 0 && c < len(g.colorIdx) {
-			g.colorIdx[c] = int32(gi)
-			g.stamp[c] = g.cur
-		}
-	}
-	g.distinct[gi].count++
-	g.elemGI = append(g.elemGI, int32(gi))
-	return gi
-}
-
-// offsets converts the distinct counts into placement cursors and reports
-// the group count.
-func (g *grouper) offsets() int {
-	off := int32(0)
-	for i := range g.distinct {
-		g.distinct[i].off = off
-		off += g.distinct[i].count
-	}
-	return len(g.distinct)
-}
-
-// groupKeys partitions pred keys by spec color, preserving first-
-// appearance order of colors (deterministic for the simulator), and
-// returns the ready-to-run item for owner. When colored scheduling is off
-// — or only one color occurs — everything lands in a single inline group
-// aliasing the input keys (preds are immutable, so aliasing is free), and
-// the call allocates nothing.
-//
-//nabbit:alloc-ok emitted group slices escape into deque items by contract; bounded by the ExecuteReuse gate
-func (w *worker) groupKeys(owner *Node, keys []Key) item {
-	spec := w.e.spec
-	if !w.e.opts.Policy.Colored || len(keys) <= 1 {
-		return item{owner: owner, single: group{color: colorOrZero(spec, keys), keys: keys}}
-	}
-	g := &w.grp
-	g.begin()
-	for _, k := range keys {
-		g.noteColor(spec.Color(k))
-	}
-	if g.offsets() == 1 {
-		return item{owner: owner, single: group{color: g.distinct[0].color, keys: keys}}
-	}
-	// Scatter pass: one backing array, carved into per-group sub-slices.
-	backing := make([]Key, len(keys))
-	for j, k := range keys {
-		d := &g.distinct[g.elemGI[j]]
-		backing[d.off] = k
-		d.off++
-	}
-	groups := make([]group, len(g.distinct))
-	for i := range g.distinct {
-		d := g.distinct[i]
-		start := d.off - d.count
-		groups[i] = group{color: d.color, keys: backing[start:d.off:d.off]}
-	}
-	return item{owner: owner, groups: groups}
-}
-
-func colorOrZero(spec Spec, keys []Key) int {
-	if len(keys) == 0 {
-		return 0
-	}
-	return spec.Color(keys[0])
-}
-
-// groupNodes partitions ready nodes by their color, preserving first-
-// appearance order, and returns the successor-work item. The input may be
-// the worker's reusable ready scratch, so unlike groupKeys the output
-// never aliases it: nodes are always copied into a fresh backing array.
-//
-//nabbit:alloc-ok emitted group slices escape into deque items by contract; bounded by the ExecuteReuse gate
-func (w *worker) groupNodes(nodes []*Node) item {
-	if !w.e.opts.Policy.Colored || len(nodes) <= 1 {
-		c := 0
-		if len(nodes) > 0 {
-			c = nodes[0].color
-		}
-		cp := make([]*Node, len(nodes))
-		copy(cp, nodes)
-		return item{single: group{color: c, nodes: cp}}
-	}
-	g := &w.grp
-	g.begin()
-	for _, n := range nodes {
-		g.noteColor(n.color)
-	}
-	backing := make([]*Node, len(nodes))
-	if g.offsets() == 1 {
-		copy(backing, nodes)
-		return item{single: group{color: g.distinct[0].color, nodes: backing}}
-	}
-	for j, n := range nodes {
-		d := &g.distinct[g.elemGI[j]]
-		backing[d.off] = n
-		d.off++
-	}
-	groups := make([]group, len(g.distinct))
-	for i := range g.distinct {
-		d := g.distinct[i]
-		start := d.off - d.count
-		groups[i] = group{color: d.color, nodes: backing[start:d.off:d.off]}
-	}
-	return item{groups: groups}
+	run *graphRun
+	sched.Item[Key, *Node]
 }

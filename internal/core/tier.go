@@ -1,46 +1,27 @@
 package core
 
-// StealTier identifies one rung of the hierarchical victim order (see
-// Policy.Hierarchical). The flat protocol's probes are accounted under the
-// global tiers, so tier counters are comparable across policies.
-type StealTier int
-
-const (
-	// TierOwnColor: same-socket victim, top item contains the thief's
-	// exact color.
-	TierOwnColor StealTier = iota
-	// TierSocketColored: same-socket victim, top item contains any color
-	// homed in the thief's socket.
-	TierSocketColored
-	// TierSocketRandom: same-socket victim, any item.
-	TierSocketRandom
-	// TierGlobalColored: any victim, thief's exact color (the flat
-	// protocol's colored probe).
-	TierGlobalColored
-	// TierGlobalRandom: any victim, any item (the flat protocol's random
-	// steal; batched when the victim is cross-socket under Hierarchical).
-	TierGlobalRandom
-	// NumStealTiers sizes per-tier counter arrays.
-	NumStealTiers
+import (
+	"nabbitc/internal/numa"
+	"nabbitc/internal/sched"
 )
 
-// String names the tier.
-func (t StealTier) String() string {
-	switch t {
-	case TierOwnColor:
-		return "own-color"
-	case TierSocketColored:
-		return "socket-colored"
-	case TierSocketRandom:
-		return "socket-random"
-	case TierGlobalColored:
-		return "global-colored"
-	case TierGlobalRandom:
-		return "global-random"
-	default:
-		return "unknown"
-	}
-}
+// StealTier identifies one rung of the hierarchical victim order (see
+// Policy.Hierarchical). The flat protocol's probes are accounted under the
+// global tiers, so tier counters are comparable across policies. The
+// tiers and the walk over them are defined in internal/sched, shared with
+// the simulator.
+type StealTier = sched.Tier
+
+// The steal tiers, in walk order (see sched.Tier).
+const (
+	TierOwnColor      = sched.TierOwnColor
+	TierSocketColored = sched.TierSocketColored
+	TierSocketRandom  = sched.TierSocketRandom
+	TierGlobalColored = sched.TierGlobalColored
+	TierGlobalRandom  = sched.TierGlobalRandom
+	// NumStealTiers sizes per-tier counter arrays.
+	NumStealTiers = sched.NumTiers
+)
 
 // TierNames returns the display names of all tiers in order.
 func TierNames() []string {
@@ -49,4 +30,20 @@ func TierNames() []string {
 		out[t] = t.String()
 	}
 	return out
+}
+
+// StealPlan fits the policy's steal protocol to worker w of topo. Both
+// machines build each worker's steal walk through it, so a policy can
+// never walk differently in the simulator and the real engine.
+func (p Policy) StealPlan(topo numa.Topology, w int) sched.Plan {
+	return sched.NewPlan(sched.Budgets{
+		Colored:          p.Colored,
+		Hierarchical:     p.Hierarchical,
+		OwnColor:         p.OwnColorStealAttempts,
+		SocketColored:    p.SocketColoredAttempts,
+		SocketRandom:     p.SocketRandomAttempts,
+		GlobalColored:    p.ColoredStealAttempts,
+		StealBatch:       p.StealBatch,
+		FirstStealRounds: p.FirstStealMaxRounds,
+	}, topo, w)
 }

@@ -8,6 +8,7 @@ import (
 	"nabbitc/internal/colorset"
 	"nabbitc/internal/core"
 	"nabbitc/internal/deque"
+	"nabbitc/internal/sched"
 	"nabbitc/internal/xrand"
 )
 
@@ -29,43 +30,8 @@ type node struct {
 	created   bool
 }
 
-type group struct {
-	color int
-	keys  []core.Key
-	nodes []*node
-}
-
-func (g group) size() int {
-	if g.keys != nil {
-		return len(g.keys)
-	}
-	return len(g.nodes)
-}
-
-// item mirrors the real engine's morphing continuation, including its
-// inline single-group form (authoritative when groups == nil): binary
-// splitting pushes single-group items whose color mask is the group's own
-// color, so the mask construction stays in lockstep with internal/core.
-type item struct {
-	owner  *node
-	single group // inline one-group form, authoritative when groups == nil
-	groups []group
-}
-
-// size returns the number of leaf work units in the item.
-func (it item) size() int {
-	if it.groups == nil {
-		return it.single.size()
-	}
-	total := 0
-	for _, g := range it.groups {
-		total += g.size()
-	}
-	return total
-}
-
 type entry struct {
-	it     item
+	it     sched.Item[core.Key, *node]
 	colors colorset.Set
 }
 
@@ -225,12 +191,9 @@ type worker struct {
 	dq    wdeque
 	rng   *xrand.Rand
 	stats WorkerStats
-
-	// socketLo/socketHi bound the worker's socket peers and socketMask is
-	// the same range as a color mask (hierarchical steal tiers).
-	socketLo   int
-	socketHi   int
-	socketMask colorset.Set
+	// plan is the worker's steal walk, shared with core (see sched.Plan);
+	// stealPhase is the worker's position in it.
+	plan sched.Plan
 
 	firstStealPending bool
 	stealPhase        int
@@ -255,9 +218,10 @@ type engine struct {
 	done     bool
 	makespan int64
 	created  int
-	// ready is reusable scratch for complete()'s ready list (the
-	// simulator is single-threaded, so one engine-wide buffer suffices);
-	// groupNodes always copies out of it.
+	// grp and ready are reusable grouping scratch and complete()'s ready
+	// list (the simulator is single-threaded, so one engine-wide copy of
+	// each suffices); GroupNodes always copies out of ready.
+	grp   sched.Grouper[core.Key, *node]
 	ready []*node
 }
 
@@ -288,22 +252,16 @@ func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
 		e.nodes = make(map[core.Key]*node)
 	}
 	p := opts.Policy
+	e.grp = sched.NewGrouper[core.Key, *node](opts.Workers, p.Colored)
 	blockDeque := core.ResolveDeque(p) == core.DequeBlock
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
-		lo, hi := opts.Topology.SocketWorkers(i)
-		mask := colorset.New(opts.Workers)
-		for c := lo; c < hi; c++ {
-			mask.Add(c)
-		}
 		e.workers[i] = &worker{
 			id:                i,
 			color:             i,
 			dq:                wdeque{block: blockDeque},
 			rng:               xrand.NewWorker(p.Seed, i),
-			socketLo:          lo,
-			socketHi:          hi,
-			socketMask:        mask,
+			plan:              p.StealPlan(opts.Topology, i),
 			firstStealPending: p.Colored && p.ForceFirstColoredSteal && i != 0,
 		}
 	}
@@ -316,7 +274,7 @@ func Run(spec core.CostSpec, sink core.Key, opts Options) (*Result, error) {
 	if len(sinkNode.preds) == 0 {
 		e.startExec(w0, t, sinkNode)
 	} else {
-		e.push(w0, e.groupKeys(sinkNode, sinkNode.preds))
+		e.push(w0, e.grp.GroupKeys(sinkNode, sinkNode.preds, spec.Color))
 		e.acquire(w0, t)
 	}
 	// All other workers begin hunting for work.
@@ -452,135 +410,28 @@ func (e *engine) getOrCreate(k core.Key) (*node, bool) {
 	return n, true
 }
 
-// groupKeys partitions pred keys by spec color (first-appearance order,
-// deterministic) into the owner's item. Single-group outcomes use the
-// inline form; the group colors match the historical map-based grouping
-// exactly (in particular, the uncolored/one-key form keeps color 0).
-func (e *engine) groupKeys(owner *node, keys []core.Key) item {
-	if !e.opts.Policy.Colored || len(keys) <= 1 {
-		return item{owner: owner, single: group{keys: keys}}
-	}
-	index := make(map[int]int, 8)
-	var groups []group
-	for _, k := range keys {
-		c := e.spec.Color(k)
-		gi, ok := index[c]
-		if !ok {
-			gi = len(groups)
-			index[c] = gi
-			groups = append(groups, group{color: c})
-		}
-		groups[gi].keys = append(groups[gi].keys, k)
-	}
-	if len(groups) == 1 {
-		return item{owner: owner, single: groups[0]}
-	}
-	return item{owner: owner, groups: groups}
+// push makes a continuation stealable, advertising its color mask.
+func (e *engine) push(w *worker, it sched.Item[core.Key, *node]) {
+	w.dq.pushBottom(entry{it: it, colors: it.Colors(len(e.workers))})
 }
 
-// groupNodes partitions ready nodes by color into a successor-work item.
-// The input may be the engine's reusable ready scratch, so the output
-// never aliases it.
-func (e *engine) groupNodes(nodes []*node) item {
-	if !e.opts.Policy.Colored || len(nodes) <= 1 {
-		cp := make([]*node, len(nodes))
-		copy(cp, nodes)
-		return item{single: group{nodes: cp}}
-	}
-	index := make(map[int]int, 8)
-	var groups []group
-	for _, n := range nodes {
-		gi, ok := index[n.color]
-		if !ok {
-			gi = len(groups)
-			index[n.color] = gi
-			groups = append(groups, group{color: n.color})
-		}
-		groups[gi].nodes = append(groups[gi].nodes, n)
-	}
-	if len(groups) == 1 {
-		return item{single: groups[0]}
-	}
-	return item{groups: groups}
-}
-
-// push mirrors the real engine's mask construction: single-group items
-// advertise the group's own color in O(1); multi-group items union their
-// groups' colors. Colors outside the worker range are skipped.
-func (e *engine) push(w *worker, it item) {
-	s := colorset.New(len(e.workers))
-	if it.groups == nil {
-		if c := it.single.color; c >= 0 && c < len(e.workers) {
-			s.Add(c)
-		}
-	} else {
-		for _, g := range it.groups {
-			if g.color >= 0 && g.color < len(e.workers) {
-				s.Add(g.color)
-			}
-		}
-	}
-	w.dq.pushBottom(entry{it: it, colors: s})
-}
-
-func containsColor(groups []group, color int) bool {
-	for _, g := range groups {
-		if g.color == color {
-			return true
-		}
-	}
-	return false
-}
-
-// interpret is the morphing-continuation interpreter in virtual time: it
-// performs the spawn_colors/spawn_nodes splits (pushing stealable
-// continuations) and resolves the leaf, returning the node the worker
-// should now execute (nil if the leaf only did bookkeeping) and the
-// advanced clock.
-func (e *engine) interpret(w *worker, t int64, it item) (*node, int64) {
-	if it.size() == 0 {
+// runItem interprets a morphing continuation in virtual time with the
+// same split steps as core's runItem (see sched.Item.Split): it pushes
+// the stealable halves and resolves the leaf, returning the node the
+// worker should now execute (nil if the leaf only did bookkeeping) and
+// the advanced clock.
+func (e *engine) runItem(w *worker, t int64, it sched.Item[core.Key, *node]) (*node, int64) {
+	if it.Size() == 0 {
 		return nil, t
 	}
-	if it.groups == nil {
-		return e.interpretGroup(w, t, it.owner, it.single)
+	var rest sched.Item[core.Key, *node]
+	for it.Split(w.color, e.opts.Policy.Colored, &rest) {
+		e.push(w, rest)
 	}
-	groups := it.groups
-	colored := e.opts.Policy.Colored
-	for len(groups) > 1 {
-		mid := len(groups) / 2
-		first, second := groups[:mid], groups[mid:]
-		if colored && containsColor(second, w.color) && !containsColor(first, w.color) {
-			first, second = second, first
-		}
-		if len(second) == 1 {
-			e.push(w, item{owner: it.owner, single: second[0]})
-		} else {
-			e.push(w, item{owner: it.owner, groups: second})
-		}
-		groups = first
+	if it.Owner != nil {
+		return e.tryInitCompute(w, t, it.Owner, it.Single.Keys[0])
 	}
-	return e.interpretGroup(w, t, it.owner, groups[0])
-}
-
-// interpretGroup binary-splits a single color group, pushing inline
-// single-group continuations, and resolves the final leaf.
-func (e *engine) interpretGroup(w *worker, t int64, owner *node, g group) (*node, int64) {
-	if owner != nil {
-		keys := g.keys
-		for len(keys) > 1 {
-			mid := len(keys) / 2
-			e.push(w, item{owner: owner, single: group{color: g.color, keys: keys[mid:]}})
-			keys = keys[:mid]
-		}
-		return e.tryInitCompute(w, t, owner, keys[0])
-	}
-	nodes := g.nodes
-	for len(nodes) > 1 {
-		mid := len(nodes) / 2
-		e.push(w, item{single: group{color: g.color, nodes: nodes[mid:]}})
-		nodes = nodes[:mid]
-	}
-	return nodes[0], t
+	return it.Single.Nodes[0], t
 }
 
 // tryInitCompute resolves one predecessor edge of owner, charging creation
@@ -595,7 +446,7 @@ func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) 
 		if len(pred.preds) == 0 {
 			return pred, t
 		}
-		e.push(w, e.groupKeys(pred, pred.preds))
+		e.push(w, e.grp.GroupKeys(pred, pred.preds, e.spec.Color))
 		return nil, t
 	}
 	t += m.EdgeOverhead
@@ -630,7 +481,7 @@ func (e *engine) acquire(w *worker, t int64) {
 			e.evq.push(t+e.opts.Cost.StealAttemptCost, w.id, evSteal)
 			return
 		}
-		n, t2 := e.interpret(w, t, ent.it)
+		n, t2 := e.runItem(w, t, ent.it)
 		t = t2
 		if n != nil {
 			e.startExec(w, t, n)
@@ -705,18 +556,9 @@ func (e *engine) complete(w *worker, t int64) {
 		return
 	}
 	if len(ready) > 0 {
-		e.push(w, e.groupNodes(ready))
+		e.push(w, e.grp.GroupNodes(ready, nodeColor))
 	}
 	e.acquire(w, t)
-}
-
-// victim picks a random other worker.
-func (e *engine) victim(w *worker) *worker {
-	v := w.rng.Intn(len(e.workers) - 1)
-	if v >= w.id {
-		v++
-	}
-	return e.workers[v]
 }
 
 // anyStealable reports whether any deque currently holds an item.
@@ -743,29 +585,18 @@ func (e *engine) earliestCompletion() (int64, bool) {
 	return best, found
 }
 
-// socketVictim picks a random same-socket worker other than w; callers
-// ensure the socket holds at least two workers.
-func (e *engine) socketVictim(w *worker) *worker {
-	v := w.socketLo + w.rng.Intn(w.socketHi-w.socketLo-1)
-	if v >= w.id {
-		v++
-	}
-	return e.workers[v]
-}
-
 // stealSucceeded charges the steal-success cost (once, even for a batch —
 // that single charge is the amortization batching buys), adopts every
 // batch item after the first into the thief's own deque, and continues the
 // thief on the first stolen item.
 func (e *engine) stealSucceeded(w *worker, t int64, ents []entry) {
 	m := e.opts.Cost
-	w.stats.StealsOK++
 	t += m.StealSuccessCost
 	w.stats.BusyTime += m.StealSuccessCost
 	for _, ex := range ents[1:] {
 		w.dq.pushBottom(ex)
 	}
-	n, t2 := e.interpret(w, t, ents[0].it)
+	n, t2 := e.runItem(w, t, ents[0].it)
 	if n != nil {
 		e.startExec(w, t2, n)
 	} else {
@@ -796,195 +627,79 @@ func (e *engine) scheduleNextProbe(w *worker, t int64) {
 	e.evq.push(next, w.id, evSteal)
 }
 
-// stealAttempt performs one probe under the stealing policy. The attempt
+// stealAttempt performs one probe of the worker's steal walk: the
+// enforced first colored steal while it is pending, otherwise the plan's
+// tier at the worker's phase. Consecutive failed probes walk the same
+// victim order as core's hunt; a success, or the failed global-random
+// probe that ends a round, restarts the walk from the top. The attempt
 // cost was charged when the event was scheduled.
 func (e *engine) stealAttempt(w *worker, t int64) {
 	if e.done {
 		return
 	}
-	p := e.opts.Policy
-
-	// The enforced first colored steal is the same (global, exact-color)
-	// protocol under flat and hierarchical policies.
+	pl := &w.plan
+	tier := pl.At(w.stealPhase)
 	if w.firstStealPending {
-		v := e.victim(w)
-		w.stats.StealAttempts++
-		w.stats.ColoredAttempts++
-		w.stats.TierAttempts[core.TierGlobalColored]++
-		var ent entry
-		var ok bool
-		if top, has := v.dq.top(); has {
-			if top.colors.Has(w.color) {
-				ent, ok = v.dq.stealTop()
-			} else {
-				w.stats.ColoredMisses++
-			}
-		}
+		tier = core.TierGlobalColored
 		w.stats.FirstStealChecks++
-		if ok {
+	}
+	v := pl.Victim(w.rng, tier)
+	batch := pl.Batch(v)
+	if w.firstStealPending {
+		batch = 0 // the enforced first steal takes one item
+	}
+	if ents := e.probe(w, tier, e.workers[v], batch); ents != nil {
+		if w.firstStealPending {
 			w.firstStealPending = false
 			w.stats.FirstStealForcedOK = true
-			w.stats.ColoredStealsOK++
-			w.stats.TierSteals[core.TierGlobalColored]++
-			e.stealSucceeded(w, t, []entry{ent})
-			return
 		}
-		if w.stats.FirstStealChecks >=
-			int64(p.FirstStealMaxRounds)*int64(len(e.workers)-1) {
-			// Give up the enforcement (bounded, see DESIGN.md §4).
-			w.firstStealPending = false
-		}
-		e.scheduleNextProbe(w, t)
-		return
-	}
-
-	if p.Hierarchical {
-		e.stealAttemptHier(w, t)
-		return
-	}
-
-	v := e.victim(w)
-	colored := p.Colored && w.stealPhase < p.ColoredStealAttempts
-	var ent entry
-	var ok bool
-	w.stats.StealAttempts++
-	if colored {
-		w.stats.ColoredAttempts++
-		w.stats.TierAttempts[core.TierGlobalColored]++
-		if top, has := v.dq.top(); has {
-			if top.colors.Has(w.color) {
-				ent, ok = v.dq.stealTop()
-			} else {
-				w.stats.ColoredMisses++
-			}
-		}
-		w.stealPhase++
-	} else {
-		w.stats.TierAttempts[core.TierGlobalRandom]++
-		ent, ok = v.dq.stealTop()
 		w.stealPhase = 0
-	}
-
-	if ok {
-		// A success ends this walk: the next hunt starts with a fresh
-		// budget of colored probes, as in core and stealAttemptHier.
-		w.stealPhase = 0
-		if colored {
-			w.stats.ColoredStealsOK++
-			w.stats.TierSteals[core.TierGlobalColored]++
-		} else {
-			w.stats.TierSteals[core.TierGlobalRandom]++
-		}
-		e.stealSucceeded(w, t, []entry{ent})
-		return
-	}
-	e.scheduleNextProbe(w, t)
-}
-
-// stealAttemptHier performs one probe of the hierarchical protocol. The
-// worker's stealPhase indexes into the concatenated tier budgets, so
-// consecutive failed probes walk the same victim order as the real
-// engine's findWorkHier: own-color → socket-colored → socket-random →
-// global-colored → global-random, with cross-socket steals in the global
-// tiers batched. A success restarts the walk from the top (the real
-// engine's fresh findWork round); the tier-5 fallback also wraps back.
-func (e *engine) stealAttemptHier(w *worker, t int64) {
-	p := e.opts.Policy
-	// As in the real engine, socket tiers are skipped when the socket
-	// spans the whole machine (they would duplicate the global tiers).
-	sockN := w.socketHi - w.socketLo
-	if sockN >= len(e.workers) {
-		sockN = 1
-	}
-
-	b1, b2, b3, b4 := 0, 0, 0, 0
-	if sockN > 1 && p.Colored {
-		b1, b2 = p.OwnColorStealAttempts, p.SocketColoredAttempts
-	}
-	if sockN > 1 {
-		b3 = p.SocketRandomAttempts
-	}
-	if p.Colored {
-		b4 = p.ColoredStealAttempts
-	}
-
-	ph := w.stealPhase
-	var tier core.StealTier
-	switch {
-	case ph < b1:
-		tier = core.TierOwnColor
-	case ph < b1+b2:
-		tier = core.TierSocketColored
-	case ph < b1+b2+b3:
-		tier = core.TierSocketRandom
-	case ph < b1+b2+b3+b4:
-		tier = core.TierGlobalColored
-	default:
-		tier = core.TierGlobalRandom
-	}
-
-	var v *worker
-	if tier <= core.TierSocketRandom {
-		v = e.socketVictim(w)
-	} else {
-		v = e.victim(w)
-	}
-	cross := v.id < w.socketLo || v.id >= w.socketHi
-
-	tierColored := tier == core.TierOwnColor || tier == core.TierSocketColored ||
-		tier == core.TierGlobalColored
-	w.stats.StealAttempts++
-	w.stats.TierAttempts[tier]++
-	if tierColored {
-		w.stats.ColoredAttempts++
-	}
-
-	var ents []entry
-	if top, has := v.dq.top(); has {
-		switch tier {
-		case core.TierOwnColor, core.TierGlobalColored:
-			if !top.colors.Has(w.color) {
-				w.stats.ColoredMisses++
-			} else if cross {
-				ents = v.dq.stealHalf(p.StealBatch)
-			} else {
-				ent, _ := v.dq.stealTop()
-				ents = []entry{ent}
-			}
-		case core.TierSocketColored:
-			if !top.colors.Intersects(w.socketMask) {
-				w.stats.ColoredMisses++
-			} else {
-				ent, _ := v.dq.stealTop()
-				ents = []entry{ent}
-			}
-		default: // TierSocketRandom, TierGlobalRandom
-			if cross {
-				ents = v.dq.stealHalf(p.StealBatch)
-			} else {
-				ent, _ := v.dq.stealTop()
-				ents = []entry{ent}
-			}
-		}
-	}
-
-	if len(ents) > 0 {
-		w.stealPhase = 0
-		w.stats.TierSteals[tier]++
-		if tierColored {
-			w.stats.ColoredStealsOK++
-		}
-		if cross {
-			w.stats.BatchOps++
-			w.stats.BatchItems += int64(len(ents))
-		}
 		e.stealSucceeded(w, t, ents)
 		return
 	}
-	if tier == core.TierGlobalRandom {
-		w.stealPhase = 0
-	} else {
-		w.stealPhase++
+	if !w.firstStealPending {
+		w.stealPhase = (w.stealPhase + 1) % pl.Len()
+	} else if w.stats.FirstStealChecks >= pl.GiveUp() {
+		// Give up the enforcement (bounded, see DESIGN.md §4).
+		w.firstStealPending = false
 	}
 	e.scheduleNextProbe(w, t)
 }
+
+// probe makes one steal attempt of tier t on victim v — a batched steal
+// of up to batch items when batch > 0 — accounts it, and returns the
+// items taken, oldest first, or nil.
+func (e *engine) probe(w *worker, t core.StealTier, v *worker, batch int) []entry {
+	colored := t.Colored()
+	w.stats.StealAttempts++
+	w.stats.TierAttempts[t]++
+	if colored {
+		w.stats.ColoredAttempts++
+	}
+	top, has := v.dq.top()
+	if !has {
+		return nil
+	}
+	if !w.plan.Admits(t, top.colors) {
+		w.stats.ColoredMisses++
+		return nil
+	}
+	var ents []entry
+	if batch > 0 {
+		ents = v.dq.stealHalf(batch)
+		w.stats.BatchOps++
+		w.stats.BatchItems += int64(len(ents))
+	} else {
+		ent, _ := v.dq.stealTop()
+		ents = []entry{ent}
+	}
+	w.stats.StealsOK++
+	w.stats.TierSteals[t]++
+	if colored {
+		w.stats.ColoredStealsOK++
+	}
+	return ents
+}
+
+// nodeColor names a node's color for grouping.
+func nodeColor(n *node) int { return n.color }

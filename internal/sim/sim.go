@@ -9,9 +9,15 @@
 // testbed (see DESIGN.md): task costs come from an explicit footprint +
 // cost model (local vs. remote byte costs), steals and scheduler
 // bookkeeping are charged virtual time, and every run is bit-for-bit
-// reproducible for a given seed. The scheduler logic — morphing
-// continuations, colored steals, the forced first colored steal — mirrors
-// core's engine decision for decision.
+// reproducible for a given seed.
+//
+// The scheduling decisions are not re-implemented here: color grouping,
+// the morphing-continuation split steps and the advertised color masks,
+// victim choice, and the steal-tier walk (flat or hierarchical, batching,
+// the first-colored-steal give-up bound) all come from internal/sched,
+// the same code the real engine runs. What the simulator adds is the
+// machine around them: virtual time, the cost model, an event queue, and
+// single-threaded models of the deques and node tables.
 //
 // The directive below opts the whole package into nabbitvet's
 // nodeterminism analyzer: wall clocks, math/rand, map iteration, and
