@@ -781,14 +781,14 @@ func (w *worker) rescue(r *graphRun) {
 
 // push reifies a continuation as a stealable deque item tagged with the
 // colors available inside it (the paper's cilkrts_set_next_colors) and
-// the graph it belongs to. For the single-group items the
-// binary-splitting hot path produces, the mask is the group's own color —
-// O(1), no group rescan, and with the inline colorset representation no
-// allocation.
+// the graph it belongs to.
 //
 //nabbit:noalloc
 func (w *worker) push(r *graphRun, it *sched.Item[Key, *Node]) {
-	w.dq.PushBottom(deque.Entry[item]{Value: item{run: r, Item: *it}, Colors: it.Colors(len(w.e.workers))})
+	w.dq.PushBottom(deque.Entry[item]{
+		Value:  item{run: r, Item: *it},
+		Colors: it.Colors(len(w.e.workers)),
+	})
 }
 
 // runItem interprets a morphing continuation: each split step (see
@@ -1048,11 +1048,12 @@ func (w *worker) hunt() (item, bool) {
 	}
 
 	for !w.bail() {
-		for ph := 0; ph < pl.Len(); ph++ {
-			t := pl.At(ph)
-			v := pl.Victim(w.rng, t)
-			if it, ok := w.probe(t, v, pl.Batch(v)); ok {
-				return it, true
+		for t := StealTier(0); t < NumStealTiers; t++ {
+			for i := pl.Budget(t); i > 0; i-- {
+				v := pl.Victim(w.rng, t)
+				if it, ok := w.probe(t, v, pl.Batch(v)); ok {
+					return it, true
+				}
 			}
 		}
 		if w.idleSweep() {

@@ -76,9 +76,10 @@ type Budgets struct {
 
 // Plan is one worker's steal walk. A round visits the tiers in order,
 // making each tier's budget of probes; the global-random tier always has
-// exactly one probe and ends the round. Both machines walk a plan by
-// phase (0 ≤ phase < Len), restarting at phase 0 after a successful steal
-// or a failed round.
+// exactly one probe and ends the round. The walk restarts from the top
+// after a successful steal or a failed round. The real engine loops over
+// the tiers' budgets; the simulator, which makes one probe per event,
+// indexes the same sequence by phase (0 ≤ phase < Len).
 //
 // The flat protocol is the plan with zero socket-tier budgets and
 // batching off: GlobalColored colored probes, then one random probe. The
@@ -132,6 +133,9 @@ func NewPlan(b Budgets, topo numa.Topology, self int) Plan {
 	}
 	return p
 }
+
+// Budget returns how many probes of tier t one round makes.
+func (p *Plan) Budget(t Tier) int { return int(p.budget[t]) }
 
 // Len returns the number of probes in one round.
 func (p *Plan) Len() int { return int(p.round) }

@@ -91,12 +91,19 @@ func TestPlan(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPlan(tc.b, tc.topo, tc.self)
-			var round []Tier
+			// The phase view (simulator) and the budget view (engine)
+			// must describe the same round.
+			var round, budgeted []Tier
 			for ph := 0; ph < p.Len(); ph++ {
 				round = append(round, p.At(ph))
 			}
-			if !slices.Equal(round, tc.round) {
-				t.Errorf("round = %v, want %v", round, tc.round)
+			for tier := Tier(0); tier < NumTiers; tier++ {
+				for i := p.Budget(tier); i > 0; i-- {
+					budgeted = append(budgeted, tier)
+				}
+			}
+			if !slices.Equal(round, tc.round) || !slices.Equal(budgeted, tc.round) {
+				t.Errorf("round = %v by phase, %v by budget; want %v", round, budgeted, tc.round)
 			}
 			if got := p.GiveUp(); got != tc.giveUp {
 				t.Errorf("GiveUp = %d, want %d", got, tc.giveUp)
