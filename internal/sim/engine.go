@@ -30,6 +30,9 @@ type node struct {
 	created   bool
 }
 
+// nodeColor names a node's color for grouping.
+func nodeColor(n *node) int { return n.color }
+
 type entry struct {
 	it     sched.Item[core.Key, *node]
 	colors colorset.Set
@@ -700,6 +703,3 @@ func (e *engine) probe(w *worker, t core.StealTier, v *worker, batch int) []entr
 	}
 	return ents
 }
-
-// nodeColor names a node's color for grouping.
-func nodeColor(n *node) int { return n.color }
