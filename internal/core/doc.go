@@ -148,15 +148,19 @@
 //   - nodeArena — used when the spec declares a bounded key universe
 //     (BoundedSpec / FuncSpec.BoundFn). One flat []Node is preallocated
 //     for the whole universe, with a key → slot index computed up front.
-//     getOrCreate is an array index plus one atomic load (lookup) or one
-//     CAS (create): no hashing, no locks, no per-node allocation. Slots
-//     are laid out home-major (HomeMajorIndex): tasks whose data lives at
-//     the same color sit contiguously, so a worker sweeping its own
-//     color's tasks walks a dense region of the arena instead of chasing
-//     map buckets — the paper's assumption that task data clusters at its
-//     home color, applied to the scheduler's own metadata. All benchmark
-//     workloads (stencil grids, CSR blocks, wavefronts) have such bounds
-//     known at spec time.
+//     The index, with every key's color and home, is a keyLayout built
+//     once per engine and shared by every arena the engine pools; the
+//     workers group predecessor keys by its colors and account locality
+//     by its homes, so the spec's Color and Home run once per key, never
+//     per edge. getOrCreate is an array index plus one atomic load
+//     (lookup) or one CAS (create): no hashing, no locks, no per-node
+//     allocation. Slots are laid out home-major (HomeMajorIndex): tasks
+//     whose data lives at the same color sit contiguously, so a worker
+//     sweeping its own color's tasks walks a dense region of the arena
+//     instead of chasing map buckets — the paper's assumption that task
+//     data clusters at its home color, applied to the scheduler's own
+//     metadata. All benchmark workloads (stencil grids, CSR blocks,
+//     wavefronts) have such bounds known at spec time.
 //   - nodeMap — a 128-way sharded RWMutex hash map, the fallback for
 //     truly dynamic specs that cannot bound their key space.
 //

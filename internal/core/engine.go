@@ -48,6 +48,10 @@ type Engine struct {
 	opts    Options
 	dense   bool   // resolved node-table backend
 	backend string // its Stats name
+	// layout is the dense arena's key layout (per-key colors, homes and
+	// slots), built once and shared by every pooled arena; zero on the
+	// sharded backend.
+	layout keyLayout
 	// dequeBackend is the resolved worker-deque substrate (see
 	// ResolveDeque); workers are built on it once and reuse it forever.
 	dequeBackend DequeBackend
@@ -146,19 +150,6 @@ func ResolveNodeTable(spec Spec, backend NodeTableBackend) (NodeTableBackend, er
 	default:
 		return 0, fmt.Errorf("core: unknown node-table backend %v", backend)
 	}
-}
-
-// newNodeTable picks and builds a node store per Options.NodeTable (see
-// doc.go's backend design note) and names the choice for Stats.
-func newNodeTable(spec Spec, opts Options) (nodeTable, string, error) {
-	backend, err := ResolveNodeTable(spec, opts.NodeTable)
-	if err != nil {
-		return nil, "", err
-	}
-	if backend == NodeTableDense {
-		return newNodeArena(spec, KeyBoundOf(spec), opts.Workers), "dense", nil
-	}
-	return newNodeMap(spec), "sharded", nil
 }
 
 // dequeCapacity sizes a worker's initial deque from the spec's key bound
@@ -284,6 +275,9 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 		pending:  make(chan *graphRun, opts.MaxInflight),
 		closedCh: make(chan struct{}),
 	}
+	if e.dense {
+		e.layout = newKeyLayout(spec, KeyBoundOf(spec), opts.Workers)
+	}
 	e.fspec, _ = spec.(FallibleSpec)
 	e.ospec, _ = spec.(OptionalSpec)
 	e.watchdogOn = opts.NodeTimeout > 0 || opts.RunDeadline > 0
@@ -337,7 +331,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 // buildTable constructs a node-table instance for the resolved backend.
 func (e *Engine) buildTable() nodeTable {
 	if e.dense {
-		return newNodeArena(e.spec, KeyBoundOf(e.spec), e.opts.Workers)
+		return newNodeArena(e.spec, &e.layout)
 	}
 	return newNodeMap(e.spec)
 }
@@ -785,6 +779,7 @@ func (w *worker) rescue(r *graphRun) {
 //
 //nabbit:noalloc
 func (w *worker) push(r *graphRun, it *sched.Item[Key, *Node]) {
+	w.stats.Pushes++
 	w.dq.PushBottom(deque.Entry[item]{
 		Value:  item{run: r, Item: *it},
 		Colors: it.Colors(len(w.e.workers)),
@@ -794,7 +789,8 @@ func (w *worker) push(r *graphRun, it *sched.Item[Key, *Node]) {
 // runItem interprets a morphing continuation: each split step (see
 // sched.Item.Split) leaves one half stealable on the deque — spawn_colors
 // while several color groups remain, spawn_nodes within the last one —
-// and the worker then resolves the single leaf it descended into.
+// and the worker then resolves the leaf it descended into: one ready
+// node, or up to sched.Grain predecessor keys of the owner.
 //
 //nabbit:noalloc
 func (w *worker) runItem(r *graphRun, it sched.Item[Key, *Node]) {
@@ -802,45 +798,63 @@ func (w *worker) runItem(r *graphRun, it sched.Item[Key, *Node]) {
 		return
 	}
 	colored := w.e.opts.Policy.Colored
+	grain := 1
+	if it.Owner != nil {
+		grain = sched.Grain(len(it.Owner.preds), len(w.e.workers))
+	}
 	var rest sched.Item[Key, *Node]
-	for it.Split(w.color, colored, &rest) {
+	for it.Split(w.color, colored, grain, &rest) {
 		w.push(r, &rest)
 	}
 	if it.Owner != nil {
-		w.tryInitCompute(r, it.Owner, it.Single.Keys[0])
+		w.resolveKeys(r, it.Owner, it.Single)
 		return
 	}
 	w.computeAndNotify(r, it.Single.Nodes[0])
 }
 
-// tryInitCompute resolves one predecessor key of owner: create the
-// predecessor and process it, or enqueue owner on the existing
+// resolveKeys resolves a leaf of owner's predecessor keys in order. A key
+// whose predecessor already exists is settled inline: owner joins the
 // predecessor's successor list, or — if the predecessor has already
-// computed — account it directly, possibly making owner ready.
+// computed — the predecessor is accounted directly, possibly making owner
+// ready. At the first key whose predecessor this call creates, the
+// unresolved rest of the leaf is pushed back as one stealable item before
+// the worker descends into the new node, so every sibling stays stealable
+// and a leaf costs at most one push per node it creates.
 //
 //nabbit:noalloc
-func (w *worker) tryInitCompute(r *graphRun, owner *Node, pkey Key) {
-	w.curKey = pkey
-	pred, created := r.nt.getOrCreate(pkey)
-	if created {
-		// We created pred, so it cannot have computed yet; owner's
-		// join will be accounted by pred's completion notification.
-		pred.addSuccessor(owner)
-		w.initAndCompute(r, pred)
-		return
-	}
-	if pred.addSuccessor(owner) {
-		return // notification will account this predecessor
-	}
-	// pred had already computed. If it was retired skipped (a degraded
-	// cascade ran before this edge registered), no notification will
-	// ever carry the taint to owner — propagate it here, or owner would
-	// execute with a missing input.
-	if pred.state.Load()&nodeSkipBit != 0 {
-		owner.setSkip()
-	}
-	if owner.decJoin() {
-		w.computeAndNotify(r, owner)
+func (w *worker) resolveKeys(r *graphRun, owner *Node, leaf sched.Group[Key, *Node]) {
+	for i, pk := range leaf.Keys {
+		w.curKey = pk
+		pred, created := r.nt.getOrCreate(pk)
+		if created {
+			// We created pred, so it cannot have computed yet; owner's
+			// join will be accounted by pred's completion notification.
+			pred.addSuccessor(owner)
+			if rest := leaf.Keys[i+1:]; len(rest) > 0 {
+				w.push(r, &sched.Item[Key, *Node]{
+					Owner:  owner,
+					Single: sched.Group[Key, *Node]{Color: leaf.Color, Keys: rest},
+				})
+			}
+			w.initAndCompute(r, pred)
+			return
+		}
+		if pred.addSuccessor(owner) {
+			continue // notification will account this predecessor
+		}
+		// pred had already computed. If it was retired skipped (a degraded
+		// cascade ran before this edge registered), no notification will
+		// ever carry the taint to owner — propagate it here, or owner would
+		// execute with a missing input.
+		if pred.state.Load()&nodeSkipBit != 0 {
+			owner.setSkip()
+		}
+		// The keys after this one are not yet accounted, so the join can
+		// only drain at the leaf's last key.
+		if owner.decJoin() {
+			w.computeAndNotify(r, owner)
+		}
 	}
 }
 
@@ -854,7 +868,11 @@ func (w *worker) initAndCompute(r *graphRun, n *Node) {
 		w.computeAndNotify(r, n)
 		return
 	}
-	w.runItem(r, w.grp.GroupKeys(n, n.preds, w.e.spec.Color))
+	if e := w.e; e.dense {
+		w.runItem(r, w.grp.GroupKeys(n, n.preds, e.layout.color))
+	} else {
+		w.runItem(r, w.grp.GroupKeys(n, n.preds, e.spec.Color))
+	}
 }
 
 // computeAndNotify executes a ready node, then notifies its successors,
@@ -908,8 +926,15 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 		w.stats.OwnColorNodes++
 	}
 	w.stats.Accesses.Count(topo, w.color, n.home)
-	for _, pk := range n.preds {
-		w.stats.Accesses.Count(topo, w.color, HomeOf(e.spec, pk))
+	if e.dense {
+		// Every predecessor key was bound-checked when it was resolved.
+		for _, pk := range n.preds {
+			w.stats.Accesses.Count(topo, w.color, int(e.layout.homes[pk]))
+		}
+	} else {
+		for _, pk := range n.preds {
+			w.stats.Accesses.Count(topo, w.color, HomeOf(e.spec, pk))
+		}
 	}
 
 	// A Compute can kill its own run (Ticket.Cancel from inside the

@@ -331,7 +331,7 @@ func TestParkWakeStress(t *testing.T) {
 // rare stamp wraparound clears slots instead of aliasing a previous run.
 func TestArenaEpochReset(t *testing.T) {
 	spec, _ := boundedChainSpec(32, nil)
-	a := newNodeArena(spec, 32, 2)
+	a := newTestArena(spec, 32, 2)
 	for k := Key(0); k < 32; k++ {
 		if _, created := a.getOrCreate(k); !created {
 			t.Fatalf("key %d not created on a fresh arena", k)

@@ -472,28 +472,19 @@ func HomeMajorIndex(bound, workers int, homeOf func(Key) int) []int32 {
 	return idx
 }
 
-// nodeArena is the dense nodeTable: one flat []Node preallocated for the
-// whole key universe [0, bound), laid out home-major (HomeMajorIndex) so
-// tasks whose data lives at the same color are contiguous in memory — the
-// cache/NUMA-locality layout the paper's locality-aware variant assumes.
-// Key, color and home are prefilled at construction; create-or-get is a
-// single CAS on the node's lifecycle word with no lock, no hashing, and
-// no allocation (the predecessor slice comes from the spec).
-type nodeArena struct {
-	spec    Spec
-	index   []int32 // key -> slot in nodes
-	nodes   []Node
-	created atomic.Int64
-	// epoch is the current run's stamp, pre-shifted into state-word
-	// position (a multiple of epochUnit). A slot whose stamped epoch
-	// differs reads as absent; reset bumps it instead of clearing slots.
-	// Written only between runs (all workers quiescent), read by all
-	// workers during a run — the Engine's park/wake handshake provides the
-	// happens-before edge.
-	epoch uint32
+// keyLayout is the dense arena's precomputation over the key universe
+// [0, bound): every key's color and true home, evaluated once, and the
+// home-major slot index built from the homes. It is immutable after
+// construction, so one engine builds it once and shares it with every
+// arena it pools; the workers read colors and homes from it instead of
+// calling the spec per edge.
+type keyLayout struct {
+	index  []int32 // key -> slot in nodes
+	colors []int32 // key -> Color
+	homes  []int32 // key -> HomeOf
 }
 
-func newNodeArena(spec Spec, bound, workers int) *nodeArena {
+func newKeyLayout(spec Spec, bound, workers int) keyLayout {
 	// One pass over the universe caches every key's color and true home
 	// (mirroring HomeOf without a second Color call per key), then the
 	// shared layout function turns the homes into slot assignments.
@@ -509,16 +500,70 @@ func newNodeArena(spec Spec, bound, workers int) *nodeArena {
 		colors[k] = int32(c)
 		homes[k] = int32(h)
 	}
-	a := &nodeArena{
-		spec:  spec,
-		index: HomeMajorIndex(bound, workers, func(k Key) int { return int(homes[k]) }),
-		nodes: make([]Node, bound),
+	return keyLayout{
+		index:  HomeMajorIndex(bound, workers, func(k Key) int { return int(homes[k]) }),
+		colors: colors,
+		homes:  homes,
 	}
-	for k := 0; k < bound; k++ {
-		n := &a.nodes[a.index[k]]
+}
+
+// checkKey panics with the typed bound message when k lies outside the
+// universe. Resolving a key (getOrCreate) and reading its cached color
+// both check it first, so a bad predecessor key fails its graph with that
+// message (through the rescue boundary) rather than with a bare index
+// panic — whichever of the two reaches the key first.
+//
+//nabbit:noalloc
+func (l *keyLayout) checkKey(k Key) {
+	if k < 0 || int64(k) >= int64(len(l.index)) {
+		keyOutOfBound(k, len(l.index)) //nabbit:alloc-ok inlined panic-only formatting
+	}
+}
+
+// keyOutOfBound is checkKey's failure path.
+//
+//nabbit:alloc-ok panic-only formatting; the graph is already failing
+func keyOutOfBound(k Key, bound int) {
+	panic(fmt.Sprintf("core: key %d outside the spec's declared bound %d", k, bound))
+}
+
+// color returns k's cached color.
+//
+//nabbit:noalloc
+func (l *keyLayout) color(k Key) int {
+	l.checkKey(k)
+	return int(l.colors[k])
+}
+
+// nodeArena is the dense nodeTable: one flat []Node preallocated for the
+// whole key universe [0, bound), laid out home-major (HomeMajorIndex) so
+// tasks whose data lives at the same color are contiguous in memory — the
+// cache/NUMA-locality layout the paper's locality-aware variant assumes.
+// Key, color and home are prefilled at construction from the engine's
+// shared keyLayout; create-or-get is a single CAS on the node's lifecycle
+// word with no lock, no hashing, and no allocation (the predecessor slice
+// comes from the spec).
+type nodeArena struct {
+	spec    Spec
+	layout  *keyLayout
+	nodes   []Node
+	created atomic.Int64
+	// epoch is the current run's stamp, pre-shifted into state-word
+	// position (a multiple of epochUnit). A slot whose stamped epoch
+	// differs reads as absent; reset bumps it instead of clearing slots.
+	// Written only between runs (all workers quiescent), read by all
+	// workers during a run — the Engine's park/wake handshake provides the
+	// happens-before edge.
+	epoch uint32
+}
+
+func newNodeArena(spec Spec, l *keyLayout) *nodeArena {
+	a := &nodeArena{spec: spec, layout: l, nodes: make([]Node, len(l.index))}
+	for k, slot := range l.index {
+		n := &a.nodes[slot]
 		n.key = Key(k)
-		n.color = int(colors[k])
-		n.home = int(homes[k])
+		n.color = int(l.colors[k])
+		n.home = int(l.homes[k])
 	}
 	return a
 }
@@ -531,11 +576,8 @@ func newNodeArena(spec Spec, bound, workers int) *nodeArena {
 //
 //nabbit:noalloc
 func (a *nodeArena) getOrCreate(k Key) (*Node, bool) {
-	if k < 0 || int64(k) >= int64(len(a.index)) {
-		//nabbit:alloc-ok panic-only formatting
-		panic(fmt.Sprintf("core: key %d outside the spec's declared bound %d", k, len(a.index)))
-	}
-	n := &a.nodes[a.index[k]]
+	a.layout.checkKey(k)
+	n := &a.nodes[a.layout.index[k]]
 	cur := a.epoch
 	v := n.state.Load()
 	if v&epochMask == cur && nodePhase(v) >= nodeReady {
@@ -594,10 +636,10 @@ func (a *nodeArena) fill(n *Node, k Key, cur uint32) {
 }
 
 func (a *nodeArena) get(k Key) (*Node, bool) {
-	if k < 0 || int64(k) >= int64(len(a.index)) {
+	if k < 0 || int64(k) >= int64(len(a.nodes)) {
 		return nil, false
 	}
-	n := &a.nodes[a.index[k]]
+	n := &a.nodes[a.layout.index[k]]
 	v := n.state.Load()
 	if v&epochMask != a.epoch || nodePhase(v) < nodeReady {
 		return nil, false
@@ -652,11 +694,15 @@ func NewNodeStore(spec Spec, workers int, backend NodeTableBackend) (*NodeStore,
 	if workers < 1 {
 		return nil, fmt.Errorf("core: NewNodeStore needs workers >= 1, got %d", workers)
 	}
-	nt, _, err := newNodeTable(spec, Options{Workers: workers, NodeTable: backend})
+	resolved, err := ResolveNodeTable(spec, backend)
 	if err != nil {
 		return nil, err
 	}
-	return &NodeStore{nt: nt}, nil
+	if resolved == NodeTableDense {
+		l := newKeyLayout(spec, KeyBoundOf(spec), workers)
+		return &NodeStore{nt: newNodeArena(spec, &l)}, nil
+	}
+	return &NodeStore{nt: newNodeMap(spec)}, nil
 }
 
 // GetOrCreate returns the node for k, creating it if absent; the boolean

@@ -27,7 +27,7 @@ func BenchmarkGetOrCreate(b *testing.B) {
 		name string
 		mk   func() nodeTable
 	}{
-		{"dense", func() nodeTable { return newNodeArena(spec, benchBound, 8) }},
+		{"dense", func() nodeTable { return newTestArena(spec, benchBound, 8) }},
 		{"sharded", func() nodeTable { return newNodeMap(spec) }},
 	}
 	for _, impl := range backends {
@@ -60,7 +60,7 @@ func BenchmarkGetOrCreateLookup(b *testing.B) {
 		name string
 		nt   nodeTable
 	}{
-		{"dense", newNodeArena(spec, benchBound, 8)},
+		{"dense", newTestArena(spec, benchBound, 8)},
 		{"sharded", newNodeMap(spec)},
 	}
 	for _, impl := range backends {

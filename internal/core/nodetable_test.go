@@ -25,6 +25,12 @@ func boundedChainSpec(n int, rec *recorder) (FuncSpec, Key) {
 	return spec, Key(n - 1)
 }
 
+// newTestArena builds a standalone dense arena over its own key layout.
+func newTestArena(spec Spec, bound, workers int) *nodeArena {
+	l := newKeyLayout(spec, bound, workers)
+	return newNodeArena(spec, &l)
+}
+
 func TestKeyBoundOf(t *testing.T) {
 	spec, _ := boundedChainSpec(100, nil)
 	if got := KeyBoundOf(spec); got != 100 {
@@ -98,9 +104,9 @@ func TestHomeMajorLayout(t *testing.T) {
 
 	// The arena must agree with the index and prefill key/color/home.
 	spec := FuncSpec{ColorFn: func(k Key) int { return home(k) }}
-	a := newNodeArena(spec, bound, workers)
+	a := newTestArena(spec, bound, workers)
 	for k := 0; k < bound; k++ {
-		n := &a.nodes[a.index[k]]
+		n := &a.nodes[a.layout.index[k]]
 		if n.key != Key(k) || n.home != home(Key(k)) || n.color != home(Key(k)) {
 			t.Fatalf("slot for key %d prefilled as key=%d color=%d home=%d",
 				k, n.key, n.color, n.home)
@@ -126,7 +132,7 @@ func TestArenaGetOrCreateRace(t *testing.T) {
 		BoundFn: func() int { return bound },
 	}
 	for round := 0; round < 10; round++ {
-		a := newNodeArena(spec, bound, goroutines)
+		a := newTestArena(spec, bound, goroutines)
 		var created atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -282,7 +288,7 @@ func TestForcedDenseUnboundedErrors(t *testing.T) {
 // that declare a bound smaller than the keys they generate.
 func TestArenaKeyOutOfBoundPanics(t *testing.T) {
 	spec, _ := boundedChainSpec(8, nil)
-	a := newNodeArena(spec, 8, 2)
+	a := newTestArena(spec, 8, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-bound key did not panic")
@@ -300,7 +306,7 @@ func TestArenaZeroAlloc(t *testing.T) {
 		ColorFn: func(k Key) int { return int(k) % 8 },
 		BoundFn: func() int { return bound },
 	}
-	a := newNodeArena(spec, bound, 8)
+	a := newTestArena(spec, bound, 8)
 	next := 0
 	if avg := testing.AllocsPerRun(bound/2, func() {
 		a.getOrCreate(Key(next))

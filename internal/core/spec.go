@@ -114,9 +114,11 @@ func HomeOf(s Spec, k Key) int {
 // interface were absent.
 //
 // Color (and Home, when implemented) must be total over the whole range —
-// they are evaluated for every key in [0, KeyBound()) at arena
-// construction, including keys the graph never reaches. Predecessors is
-// still only called for keys actually named.
+// they are evaluated for every key in [0, KeyBound()) when the engine is
+// built, including keys the graph never reaches. That is the only time
+// they are called: once per key per engine, never per edge; the engine
+// reads every key's color and home from that cache for as long as it
+// lives. Predecessors is still only called for keys actually named.
 type BoundedSpec interface {
 	Spec
 	// KeyBound returns the exclusive upper bound of the key universe,

@@ -67,6 +67,11 @@ type WorkerStats struct {
 	// (work pushed, run completion, engine close, or a new Execute).
 	Wakes int64
 
+	// Pushes counts the continuations this worker pushed onto its deque
+	// (split halves and the rest of a partly resolved key leaf); batch
+	// items adopted after a steal are not pushes.
+	Pushes int64
+
 	// DequeGrows counts buffer growths of this worker's deque during the
 	// run. With a spec-declared key bound the initial capacity is sized
 	// to cover the run, so this should stay zero (pinned by the root

@@ -5,10 +5,22 @@
 //   - the morphing-continuation item and its color groups, with the
 //     color mask an item advertises to thieves (Item, Group);
 //   - color grouping of a spawn (Grouper, GroupKeys, GroupNodes);
-//   - one step of the spawn_colors/spawn_nodes split (Item.Split);
+//   - one step of the spawn_colors/spawn_nodes split (Item.Split), and
+//     the grain at which a predecessor-key group stops splitting (Grain);
 //   - victim choice and the steal-tier walk: which tier a probe belongs
 //     to, which workers it may pick from, and whether it takes a batch
 //     (Plan, Tier).
+//
+// Predecessor keys are split the way Cilk Plus splits a cilk_for: a
+// group of n keys on P workers is halved only while it holds more than
+// Grain(n, P) = max(1, min(2048, ⌈n/8P⌉)) keys; ready-node groups still
+// split down to one node. Each machine then resolves a leaf of keys with
+// the same scan (resolveKeys in core and in sim): keys whose predecessor
+// already exists are settled inline, and at the first key whose
+// predecessor the worker creates, the unresolved rest of the leaf is
+// pushed back as one stealable item before the worker descends into the
+// new node. That keeps every sibling stealable and bounds a leaf's pushes
+// to one per node it creates.
 //
 // Each machine keeps only what it alone owns: core the atomics, the node
 // table, the concurrent deques and the run state; sim the virtual clock,

@@ -91,11 +91,27 @@ func groupColors[K, N any](groups []Group[K, N], nworkers int) colorset.Set {
 	return s
 }
 
+// MaxGrain caps Grain, as Cilk Plus caps cilk_for's grain at 2048
+// iterations.
+const MaxGrain = 2048
+
+// Grain returns the leaf size of a predecessor-key spawn of n keys on
+// workers workers: max(1, min(MaxGrain, ⌈n/8P⌉)), the grain Cilk Plus
+// gives a cilk_for of n iterations. Splitting a key group further would
+// only add deque traffic: eight leaves per worker already leave every
+// thief something to steal, and resolving a key that names an existing
+// predecessor costs less than pushing and popping it.
+func Grain(n, workers int) int {
+	return max(1, min(MaxGrain, (n+8*workers-1)/(8*workers)))
+}
+
 // Split performs one step of the morphing-continuation interpreter for a
 // worker of the given color: it shrinks it in place to the half the
 // worker descends into and stores the other half in rest, which the
 // caller must push as a stealable continuation. It reports false,
-// changing nothing, once it is a leaf (one unit of work) or empty.
+// changing nothing, once it is a leaf or empty. A leaf is one ready node,
+// or a group of at most grain predecessor keys (see Grain; grain 1 splits
+// keys down to single keys).
 //
 // While it holds several color groups the step is spawn_colors: halve
 // the groups, and under colored scheduling descend into the half that
@@ -103,7 +119,7 @@ func groupColors[K, N any](groups []Group[K, N], nworkers int) colorset.Set {
 // group left it is spawn_nodes: halve the keys or nodes, keeping the
 // first half. Calling Split until it reports false and then resolving
 // the remaining leaf is the whole interpreter.
-func (it *Item[K, N]) Split(color int, colored bool, rest *Item[K, N]) bool {
+func (it *Item[K, N]) Split(color int, colored bool, grain int, rest *Item[K, N]) bool {
 	if len(it.Groups) > 1 {
 		mid := len(it.Groups) / 2
 		first, second := it.Groups[:mid], it.Groups[mid:]
@@ -117,7 +133,7 @@ func (it *Item[K, N]) Split(color int, colored bool, rest *Item[K, N]) bool {
 	}
 	g := &it.Single
 	n := g.Size()
-	if n <= 1 {
+	if n <= 1 || (g.Keys != nil && n <= grain) {
 		return false
 	}
 	mid := n / 2

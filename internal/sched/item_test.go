@@ -11,18 +11,36 @@ type testItem = Item[int, string]
 
 // unfold runs Split to completion and describes every pushed continuation
 // (its colors and size) and the leaf the worker ends on.
-func unfold(it testItem, color int, colored bool) (pushed []string, leaf string) {
+func unfold(it testItem, color int, colored bool, grain int) (pushed []string, leaf string) {
 	var rest testItem
-	for it.Split(color, colored, &rest) {
+	for it.Split(color, colored, grain, &rest) {
 		pushed = append(pushed, fmt.Sprintf("%v:%d", rest.Colors(8).Colors(), rest.Size()))
 	}
 	switch {
 	case it.Size() == 0:
 		return pushed, "empty"
-	case it.Single.Keys != nil:
+	case len(it.Single.Keys) == 1:
 		return pushed, fmt.Sprint("key ", it.Single.Keys[0])
+	case it.Single.Keys != nil:
+		return pushed, fmt.Sprint("keys ", it.Single.Keys)
 	default:
 		return pushed, "node " + it.Single.Nodes[0]
+	}
+}
+
+func TestGrain(t *testing.T) {
+	cases := []struct{ n, workers, want int }{
+		{0, 1, 1}, {0, 2, 1}, {0, 80, 1},
+		{1, 1, 1}, {1, 2, 1}, {1, 80, 1},
+		{9, 1, 2}, {9, 2, 1}, {9, 80, 1},
+		{160, 1, 20}, {160, 2, 10}, {160, 80, 1},
+		{100000, 1, MaxGrain}, {100000, 2, MaxGrain}, {100000, 80, 157},
+		{8 * MaxGrain, 1, MaxGrain}, {8*MaxGrain + 1, 1, MaxGrain},
+	}
+	for _, tc := range cases {
+		if got := Grain(tc.n, tc.workers); got != tc.want {
+			t.Errorf("Grain(%d, %d) = %d, want %d", tc.n, tc.workers, got, tc.want)
+		}
 	}
 }
 
@@ -33,11 +51,15 @@ func TestSplit(t *testing.T) {
 		{Color: 2, Keys: []int{30, 31, 32}},
 		{Color: 3, Keys: []int{40, 41, 42, 43}},
 	}}
+	tenKeys := testItem{Owner: "owner", Single: Group[int, string]{Color: 2, Keys: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}}
+	// Cases without a grain run at grain 1, which must reproduce the
+	// historical split down to single keys step for step.
 	cases := []struct {
 		name    string
 		it      testItem
 		color   int
 		colored bool
+		grain   int
 		pushed  []string
 		leaf    string
 	}{
@@ -78,10 +100,37 @@ func TestSplit(t *testing.T) {
 		},
 		{name: "leaf", it: testItem{Single: Group[int, string]{Keys: []int{7}}}, leaf: "key 7"},
 		{name: "empty", it: testItem{}, leaf: "empty"},
+		{
+			name: "grain 1 halves keys down to one", it: tenKeys,
+			pushed: []string{"[2]:5", "[2]:3", "[2]:1"},
+			leaf:   "key 0",
+		},
+		{
+			name: "key group stops at the grain", it: tenKeys, grain: 3,
+			pushed: []string{"[2]:5", "[2]:3"},
+			leaf:   "keys [0 1]",
+		},
+		{
+			name: "key group within the grain is already a leaf", it: tenKeys, grain: 10,
+			leaf: "keys [0 1 2 3 4 5 6 7 8 9]",
+		},
+		{
+			name: "color groups split before the grain applies", it: fourColors, color: 3, colored: true, grain: 2,
+			pushed: []string{"[0 1]:3", "[2]:3", "[3]:2"},
+			leaf:   "keys [40 41]",
+		},
+		{
+			name:   "node groups ignore the grain",
+			it:     testItem{Single: Group[int, string]{Color: 5, Nodes: []string{"a", "b", "c", "d", "e"}}},
+			grain:  8,
+			pushed: []string{"[5]:3", "[5]:1"},
+			leaf:   "node a",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pushed, leaf := unfold(tc.it, tc.color, tc.colored)
+			grain := max(tc.grain, 1)
+			pushed, leaf := unfold(tc.it, tc.color, tc.colored, grain)
 			if !slices.Equal(pushed, tc.pushed) || leaf != tc.leaf {
 				t.Errorf("pushed %v, leaf %q; want %v, %q", pushed, leaf, tc.pushed, tc.leaf)
 			}

@@ -12,8 +12,16 @@ import (
 // randomDenseDAG builds a pseudo-random layered DAG over a dense key
 // universe [0, layers*width] (sink = layers*width) that declares its
 // bound, so the dense arena backend engages. Colors include out-of-range
-// ones, exercising the arena's overflow home bucket.
+// ones, exercising the arena's overflow home bucket. Each node has 1–3
+// predecessors.
 func randomDenseDAG(seed uint64, layers, width, workers int) (core.FuncSpec, core.Key) {
+	return randomFanInDAG(seed, layers, width, workers, 1, 3)
+}
+
+// randomFanInDAG is randomDenseDAG with minFan–maxFan predecessors per
+// node, drawn with replacement from all earlier layers: duplicate keys
+// and predecessors shared by several owners are both common.
+func randomFanInDAG(seed uint64, layers, width, workers, minFan, maxFan int) (core.FuncSpec, core.Key) {
 	r := xrand.New(seed)
 	key := func(l, i int) core.Key { return core.Key(l*width + i) }
 	n := layers * width
@@ -39,7 +47,7 @@ func randomDenseDAG(seed uint64, layers, width, workers int) (core.FuncSpec, cor
 			if l == 0 {
 				continue
 			}
-			fan := 1 + r.Intn(3)
+			fan := minFan + r.Intn(maxFan-minFan+1)
 			for f := 0; f < fan; f++ {
 				pl := r.Intn(l)
 				preds[k] = append(preds[k], key(pl, r.Intn(width)))

@@ -427,43 +427,60 @@ func (e *engine) runItem(w *worker, t int64, it sched.Item[core.Key, *node]) (*n
 	if it.Size() == 0 {
 		return nil, t
 	}
+	grain := 1
+	if it.Owner != nil {
+		grain = sched.Grain(len(it.Owner.preds), len(e.workers))
+	}
 	var rest sched.Item[core.Key, *node]
-	for it.Split(w.color, e.opts.Policy.Colored, &rest) {
+	for it.Split(w.color, e.opts.Policy.Colored, grain, &rest) {
 		e.push(w, rest)
 	}
 	if it.Owner != nil {
-		return e.tryInitCompute(w, t, it.Owner, it.Single.Keys[0])
+		return e.resolveKeys(w, t, it.Owner, it.Single)
 	}
 	return it.Single.Nodes[0], t
 }
 
-// tryInitCompute resolves one predecessor edge of owner, charging creation
-// and edge-check overheads.
-func (e *engine) tryInitCompute(w *worker, t int64, owner *node, pkey core.Key) (*node, int64) {
+// resolveKeys mirrors core's leaf scan, charging creation and edge-check
+// overheads: keys whose predecessor exists are settled inline, and at the
+// first key whose predecessor it creates, the unresolved rest of the leaf
+// is pushed as one item before the worker descends into the new node.
+// The descent into a node with predecessors is its grouped item, pushed
+// here and popped straight back by acquire — the same order as core's
+// direct interpretation, since nothing runs in between.
+func (e *engine) resolveKeys(w *worker, t int64, owner *node, leaf sched.Group[core.Key, *node]) (*node, int64) {
 	m := e.opts.Cost
-	pred, created := e.getOrCreate(pkey)
-	if created {
-		t += m.NodeOverhead
-		w.stats.BusyTime += m.NodeOverhead
-		pred.succs = append(pred.succs, owner)
-		if len(pred.preds) == 0 {
-			return pred, t
+	for i, pk := range leaf.Keys {
+		pred, created := e.getOrCreate(pk)
+		if created {
+			t += m.NodeOverhead
+			w.stats.BusyTime += m.NodeOverhead
+			pred.succs = append(pred.succs, owner)
+			if rest := leaf.Keys[i+1:]; len(rest) > 0 {
+				e.push(w, sched.Item[core.Key, *node]{
+					Owner:  owner,
+					Single: sched.Group[core.Key, *node]{Color: leaf.Color, Keys: rest},
+				})
+			}
+			if len(pred.preds) == 0 {
+				return pred, t
+			}
+			e.push(w, e.grp.GroupKeys(pred, pred.preds, e.spec.Color))
+			return nil, t
 		}
-		e.push(w, e.grp.GroupKeys(pred, pred.preds, e.spec.Color))
-		return nil, t
-	}
-	t += m.EdgeOverhead
-	w.stats.BusyTime += m.EdgeOverhead
-	if !pred.computed {
-		pred.succs = append(pred.succs, owner)
-		return nil, t
-	}
-	owner.join--
-	if owner.join < 0 {
-		panic("sim: join counter went negative")
-	}
-	if owner.join == 0 {
-		return owner, t
+		t += m.EdgeOverhead
+		w.stats.BusyTime += m.EdgeOverhead
+		if !pred.computed {
+			pred.succs = append(pred.succs, owner)
+			continue
+		}
+		owner.join--
+		if owner.join < 0 {
+			panic("sim: join counter went negative")
+		}
+		if owner.join == 0 {
+			return owner, t
+		}
 	}
 	return nil, t
 }
