@@ -363,11 +363,13 @@ func BenchmarkStealThroughput(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					var buf []deque.Entry[int]
 					for {
-						batch, out := q.StealHalf(0)
+						var out deque.StealOutcome
+						buf, out = q.Steal(nil, 0, buf[:0])
 						switch out {
 						case deque.StealOK:
-							stolen.Add(int64(len(batch)))
+							stolen.Add(int64(len(buf)))
 						case deque.StealEmpty:
 							return
 						}
@@ -387,6 +389,12 @@ func BenchmarkStealThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkPushPopSteal times the owner/thief cycle in steady state on
+// every substrate, once per steal shape: a single steal gated on the
+// item's color (the bare substrate name), an ungated batch ("-batch") and
+// a gated batch ("-gated-batch"). Each cycle leaves the deque as it found
+// it, and the steal appends into a reused buffer, so every row must
+// report 0 allocs/op (CI gates this through scripts/benchgate.sh).
 func BenchmarkPushPopSteal(b *testing.B) {
 	impls := []struct {
 		name string
@@ -396,31 +404,50 @@ func BenchmarkPushPopSteal(b *testing.B) {
 		{"chaselev", func() deque.Queue[int] { return deque.NewChaseLev[int](64) }},
 		{"block", func() deque.Queue[int] { return deque.NewBlock[int](64) }},
 	}
+	gate := colorset.Of(80, 3)
+	shapes := []struct {
+		suffix string
+		gate   *colorset.Set
+		push   int // items pushed per cycle; a batch takes half
+		max    int
+	}{
+		{"", &gate, 2, 1},
+		{"-batch", nil, 4, 0},
+		{"-gated-batch", &gate, 4, 4},
+	}
 	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			q := impl.mk()
-			// Prewarm past any growth so the timed region is steady state.
-			for i := 0; i < 256; i++ {
-				q.PushBottom(deque.Entry[int]{Value: i, Colors: colorset.Of(80, i%80)})
-			}
-			for {
-				if _, ok := q.PopBottom(); !ok {
-					break
+		for _, sh := range shapes {
+			b.Run(impl.name+sh.suffix, func(b *testing.B) {
+				q := impl.mk()
+				// Prewarm past any growth so the timed region is steady state.
+				for i := 0; i < 256; i++ {
+					q.PushBottom(deque.Entry[int]{Value: i, Colors: colorset.Of(80, i%80)})
 				}
-			}
-			e := deque.Entry[int]{Value: 1, Colors: colorset.Of(80, 3)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.PushBottom(e)
-				q.PushBottom(e)
-				if _, ok := q.PopBottom(); !ok {
-					b.Fatal("pop failed")
+				for {
+					if _, ok := q.PopBottom(); !ok {
+						break
+					}
 				}
-				if _, out := q.StealTopColored(3); out != deque.StealOK {
-					b.Fatalf("colored steal = %v", out)
+				e := deque.Entry[int]{Value: 1, Colors: colorset.Of(80, 3)}
+				buf := make([]deque.Entry[int], 0, sh.push)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < sh.push; j++ {
+						q.PushBottom(e)
+					}
+					var out deque.StealOutcome
+					buf, out = q.Steal(sh.gate, sh.max, buf[:0])
+					if out != deque.StealOK {
+						b.Fatalf("steal = %v", out)
+					}
+					for j := len(buf); j < sh.push; j++ {
+						if _, ok := q.PopBottom(); !ok {
+							b.Fatal("pop failed")
+						}
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

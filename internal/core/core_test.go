@@ -243,7 +243,7 @@ func TestChaseLevEngine(t *testing.T) {
 		spec, sink, keys := layeredDAG(10, 40, rec, func(k Key) int { return int(k) % 8 })
 		p := NabbitCPolicy()
 		p.Colored = colored
-		p.UseChaseLev = true
+		p.Deque = DequeChaseLev
 		if _, err := Run(spec, sink, Options{Workers: 8, Policy: p}); err != nil {
 			t.Fatal(err)
 		}

@@ -198,8 +198,13 @@ type worker struct {
 	stats WorkerStats
 
 	// plan is this worker's steal walk (victim ranges, tier budgets,
-	// batching), fitted to its socket once at construction.
+	// batching, tier gates), fitted to its socket once at construction.
 	plan sched.Plan
+	// stealBuf receives each steal's items. It grows to the largest
+	// batch taken and is then reused, so steady-state steals allocate
+	// nothing; it is cleared after each steal so it pins no stolen item.
+	// It starts nil: a lone worker never steals.
+	stealBuf []deque.Entry[item]
 
 	// grp and ready are owner-only scratch reused across runs so the
 	// spawn/notify hot paths allocate only what escapes into deque items.
@@ -979,15 +984,14 @@ func (w *worker) computeAndNotify(r *graphRun, n *Node) {
 }
 
 // takeBatch accounts a successful batched steal and adopts every item
-// after the first into w's own deque; the first (oldest) is returned for
-// immediate execution.
-func (w *worker) takeBatch(ents []deque.Entry[item]) item {
+// after the first into w's own deque; the caller runs the first (oldest)
+// immediately.
+func (w *worker) takeBatch(ents []deque.Entry[item]) {
 	w.stats.BatchOps++
 	w.stats.BatchItems += int64(len(ents))
 	for _, ent := range ents[1:] {
 		w.dq.PushBottom(ent)
 	}
-	return ents[0].Value
 }
 
 // noteProbeFailed starts the idle clock if it is not already running.
@@ -1090,7 +1094,8 @@ func (w *worker) hunt() (item, bool) {
 
 // probe makes one steal attempt of tier t on worker v — a batched steal
 // of up to batch items when batch > 0 — and accounts it on every counter
-// that tracks it.
+// that tracks it. The tier's gate comes from the plan, the one definition
+// of what each tier admits that the simulator reads too.
 func (w *worker) probe(t StealTier, v, batch int) (item, bool) {
 	colored := t.Colored()
 	w.stats.StealAttempts++
@@ -1098,22 +1103,7 @@ func (w *worker) probe(t StealTier, v, batch int) (item, bool) {
 	if colored {
 		w.stats.ColoredAttempts++
 	}
-	dq := w.e.workers[v].dq
-	var ent deque.Entry[item]
-	var ents []deque.Entry[item]
-	var out deque.StealOutcome
-	switch {
-	case t == TierSocketColored:
-		ent, out = dq.StealTopMasked(w.plan.Socket())
-	case colored && batch > 0:
-		ents, out = dq.StealHalfColored(w.color, batch)
-	case colored:
-		ent, out = dq.StealTopColored(w.color)
-	case batch > 0:
-		ents, out = dq.StealHalf(batch)
-	default:
-		ent, out = dq.StealTop()
-	}
+	ents, out := w.e.workers[v].dq.Steal(w.plan.Gate(t), max(1, batch), w.stealBuf[:0])
 	switch out {
 	case deque.StealOK:
 		w.stats.StealsOK++
@@ -1121,10 +1111,13 @@ func (w *worker) probe(t StealTier, v, batch int) (item, bool) {
 		if colored {
 			w.stats.ColoredStealsOK++
 		}
-		if ents != nil {
-			return w.takeBatch(ents), true
+		it := ents[0].Value
+		if batch > 0 {
+			w.takeBatch(ents)
 		}
-		return ent.Value, true
+		clear(ents)
+		w.stealBuf = ents[:0]
+		return it, true
 	case deque.StealMiss:
 		w.stats.ColoredMisses++
 	}

@@ -28,15 +28,9 @@ type Policy struct {
 	// worker gives up and reverts to the normal policy. Without a bound
 	// an invalid coloring (Table III) would spin forever.
 	FirstStealMaxRounds int
-	// UseChaseLev selects the lock-free Chase–Lev deque instead of the
-	// default mutex deque (deque-substrate ablation). Deque, when set,
-	// takes precedence; UseChaseLev remains as the legacy two-substrate
-	// toggle.
-	UseChaseLev bool
-	// Deque selects the worker deque substrate explicitly (see
-	// DequeBackend); DequeAuto defers to UseChaseLev, then to the
-	// policy-based default (block for hierarchical policies, mutex
-	// otherwise — see ResolveDeque).
+	// Deque selects the worker deque substrate (see DequeBackend);
+	// DequeAuto picks block for hierarchical policies and mutex otherwise
+	// (see ResolveDeque).
 	Deque DequeBackend
 	// Seed drives victim selection; runs with equal seeds and worker
 	// counts make identical scheduling decisions in the simulator.
@@ -145,10 +139,9 @@ func (p Policy) WithDefaults() Policy {
 type DequeBackend int
 
 const (
-	// DequeAuto defers to Policy.UseChaseLev when set, otherwise picks
-	// the block deque for hierarchical policies (their batched
-	// cross-socket steals are what its single-CAS whole-block claims
-	// amortize) and the mutex deque for flat ones.
+	// DequeAuto picks the block deque for hierarchical policies (their
+	// batched cross-socket steals are what its single-CAS whole-block
+	// claims amortize) and the mutex deque for flat ones.
 	DequeAuto DequeBackend = iota
 	// DequeMutex forces the lock-based ring deque.
 	DequeMutex
@@ -188,15 +181,11 @@ func ParseDequeBackend(s string) (DequeBackend, error) {
 }
 
 // ResolveDeque resolves a policy's deque choice to a concrete substrate:
-// an explicit Policy.Deque wins, then the legacy UseChaseLev toggle, then
-// the policy-shaped default (block for hierarchical policies, mutex
-// otherwise).
+// an explicit Policy.Deque wins, then the policy-shaped default (block for
+// hierarchical policies, mutex otherwise).
 func ResolveDeque(p Policy) DequeBackend {
 	if p.Deque != DequeAuto {
 		return p.Deque
-	}
-	if p.UseChaseLev {
-		return DequeChaseLev
 	}
 	if p.Hierarchical {
 		return DequeBlock

@@ -131,7 +131,7 @@ func TestQuickRandomDAGsChaseLev(t *testing.T) {
 		spec, sink, _, rec := randomDAG(seed, 5, 10, 6)
 		keys := reachable(spec, sink)
 		pol := NabbitCPolicy()
-		pol.UseChaseLev = true
+		pol.Deque = DequeChaseLev
 		pol.FirstStealMaxRounds = 2
 		st, err := Run(spec, sink, Options{Workers: 6, Policy: pol})
 		if err != nil || int(st.TotalNodes()) != len(keys) {

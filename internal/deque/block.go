@@ -64,7 +64,7 @@ type bkSlot[T any] struct {
 //
 // sum* summarize the colors of every entry pushed into the block this
 // incarnation (owner-only writes, monotone within an incarnation), giving
-// colored thieves an O(1) whole-block reject before they touch any slot
+// gated thieves an O(1) whole-block reject before they touch any slot
 // shadow. The summary never shrinks on pops, so a stale "may contain" is
 // possible (filtered by the slot shadow and the claim CAS) but a "cannot
 // contain" is definitive for the incarnation the thief validated.
@@ -102,22 +102,8 @@ func (b *bkBlock[T]) addSummary(c colorset.Set) {
 	}
 }
 
-// summaryHas reports whether any entry pushed into the block this
-// incarnation could contain color. Stale-tolerant; see the type comment.
-func (b *bkBlock[T]) summaryHas(color int) bool {
-	if b.sumSpill.Load() {
-		return true // spilled sets are gated by the slot shadow instead
-	}
-	if color < 0 || color >= colorset.InlineColors {
-		return false
-	}
-	if color < 64 {
-		return b.sumLo.Load()&(1<<uint(color)) != 0
-	}
-	return b.sumHi.Load()&(1<<uint(color-64)) != 0
-}
-
-// summaryIntersects is summaryHas for a color mask.
+// summaryIntersects reports whether any entry pushed into the block this
+// incarnation could intersect mask. Stale-tolerant; see the type comment.
 func (b *bkBlock[T]) summaryIntersects(mask colorset.Set) bool {
 	if b.sumSpill.Load() {
 		return true
@@ -135,7 +121,7 @@ func (b *bkBlock[T]) summaryIntersects(mask colorset.Set) bool {
 // blocks behind it, oldest first — and on a sealed block a batched steal
 // claims every remaining item with a single CAS, instead of the
 // CAS-per-item tax the Chase–Lev layout makes structural (see
-// ChaseLev.StealHalf for why a multi-item top CAS is unsound there; the
+// ChaseLev.Steal for why a multi-item top CAS is unsound there; the
 // seal flag is exactly the missing guarantee, because the owner never
 // pops from a sealed block).
 //
@@ -411,21 +397,20 @@ func (d *Block[T]) claimOne(blk *bkBlock[T], w uint64) (Entry[T], StealOutcome) 
 }
 
 // claimBatch claims k items starting at the steal index of w from sealed
-// blk with a single CAS.
-func (d *Block[T]) claimBatch(blk *bkBlock[T], w uint64, k int) ([]Entry[T], StealOutcome) {
+// blk with a single CAS and appends them to buf.
+func (d *Block[T]) claimBatch(blk *bkBlock[T], w uint64, k int, buf []Entry[T]) ([]Entry[T], StealOutcome) {
 	s := bkSteal(w)
 	blk.readers.Add(1)
 	d.stealCASes.Add(1)
 	if !blk.ss.CompareAndSwap(w, w+uint64(k)) {
 		blk.readers.Add(-1)
-		return nil, StealAbort
+		return buf, StealAbort
 	}
-	out := make([]Entry[T], k)
-	for i := range out {
-		out[i] = blk.slots[s+int64(i)].val
+	for i := range k {
+		buf = append(buf, blk.slots[s+int64(i)].val)
 	}
 	blk.readers.Add(-1)
-	return out, StealOK
+	return buf, StealOK
 }
 
 // scanFrom walks the chain from start and returns the first block holding
@@ -488,109 +473,55 @@ func (d *Block[T]) StealTop() (Entry[T], StealOutcome) {
 	return d.claimOne(blk, w)
 }
 
-// StealTopColored removes the oldest item only if its color mask contains
-// color. The block summary rejects whole blocks in O(1); the slot shadow
-// is the exact gate on the top item.
+// Steal removes the oldest item if it passes gate, and with max != 1 a
+// batch of the oldest items during the same victim visit. The block
+// summary rejects whole blocks in O(1); the slot shadow is the exact gate
+// on the top item.
+//
+// On a sealed block a batch claims every remaining item (capped by max)
+// with one CAS — this may exceed BatchSize(n, max), the block-granular
+// batching the substrate exists for. On the unsealed tail block (only
+// reachable here when it is the oldest live block) the owner may be
+// popping concurrently, so a batch falls back to Chase–Lev-style
+// repeated single claims honoring BatchSize.
 //
 //nabbit:noalloc
-func (d *Block[T]) StealTopColored(color int) (Entry[T], StealOutcome) {
-	var zero Entry[T]
-	blk, w, _ := d.firstLive()
+func (d *Block[T]) Steal(gate *colorset.Set, max int, buf []Entry[T]) ([]Entry[T], StealOutcome) {
+	blk, w, c := d.firstLive()
 	if blk == nil {
-		return zero, StealEmpty
+		return buf, StealEmpty
 	}
-	if !blk.summaryHas(color) || !blk.slots[bkSteal(w)].shadow.has(color) {
+	if gate != nil && (!blk.summaryIntersects(*gate) || !blk.slots[bkSteal(w)].shadow.intersects(*gate)) {
 		// Re-validate that the block still serves the inspected
 		// incarnation and index; if not, the miss verdict is stale.
 		if blk.ss.Load() != w {
-			return zero, StealAbort
+			return buf, StealAbort
 		}
-		return zero, StealMiss
+		return buf, StealMiss
 	}
-	return d.claimOne(blk, w)
-}
-
-// StealTopMasked removes the oldest item only if its color mask
-// intersects mask.
-//
-//nabbit:noalloc
-func (d *Block[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
-	var zero Entry[T]
-	blk, w, _ := d.firstLive()
-	if blk == nil {
-		return zero, StealEmpty
-	}
-	if !blk.summaryIntersects(mask) || !blk.slots[bkSteal(w)].shadow.intersects(mask) {
-		if blk.ss.Load() != w {
-			return zero, StealAbort
-		}
-		return zero, StealMiss
-	}
-	return d.claimOne(blk, w)
-}
-
-// stealBatch takes a batch from blk, which was observed live with index
-// word w and commit c. Sealed block: every remaining item (capped by
-// max) in one CAS — this may exceed ceil(n/2), the block-granular
-// batching the substrate exists for. Unsealed block (the owner's tail,
-// only reachable here when it is the oldest live block): fall back to
-// Chase–Lev-style repeated single claims honoring batchSize, since the
-// owner may be popping concurrently.
-func (d *Block[T]) stealBatch(blk *bkBlock[T], w uint64, c int64, max int) ([]Entry[T], StealOutcome) {
 	if bkSealed(w) {
 		k := int(c - bkSteal(w))
 		if max > 0 && k > max {
 			k = max
 		}
-		return d.claimBatch(blk, w, k)
+		return d.claimBatch(blk, w, k, buf)
 	}
-	k := batchSize(int(c-bkSteal(w)), max)
-	var out []Entry[T]
-	for len(out) < k {
+	n := len(buf)
+	for k := BatchSize(int(c-bkSteal(w)), max); k > 0; k-- {
 		e, o := d.claimOne(blk, w)
 		if o != StealOK {
 			break
 		}
-		if out == nil {
-			out = make([]Entry[T], 0, k)
-		}
-		out = append(out, e)
+		buf = append(buf, e)
 		w = blk.ss.Load()
 		if bkSealed(w) || blk.commit.Load() <= bkSteal(w) {
 			break
 		}
 	}
-	if len(out) == 0 {
-		return nil, StealAbort
+	if len(buf) == n {
+		return buf, StealAbort
 	}
-	return out, StealOK
-}
-
-// StealHalf removes a batch of the oldest items during a single victim
-// visit; on a sealed block the whole remainder (capped by max) moves
-// with one CAS.
-func (d *Block[T]) StealHalf(max int) ([]Entry[T], StealOutcome) {
-	blk, w, c := d.firstLive()
-	if blk == nil {
-		return nil, StealEmpty
-	}
-	return d.stealBatch(blk, w, c, max)
-}
-
-// StealHalfColored is StealHalf gated on the oldest item containing
-// color (later batch items ride along, as on the other substrates).
-func (d *Block[T]) StealHalfColored(color int, max int) ([]Entry[T], StealOutcome) {
-	blk, w, c := d.firstLive()
-	if blk == nil {
-		return nil, StealEmpty
-	}
-	if !blk.summaryHas(color) || !blk.slots[bkSteal(w)].shadow.has(color) {
-		if blk.ss.Load() != w {
-			return nil, StealAbort
-		}
-		return nil, StealMiss
-	}
-	return d.stealBatch(blk, w, c, max)
+	return buf, StealOK
 }
 
 // Len returns an advisory item count (chain scan).

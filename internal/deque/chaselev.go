@@ -40,9 +40,9 @@ import (
 // reader-count edge — the protocol is race-free under the Go memory
 // model, not merely "benign".
 //
-// # Colored steals without claiming
+// # Gated steals without claiming
 //
-// A colored thief must inspect the top entry's color mask *before*
+// A gated thief must inspect the top entry's color mask *before*
 // committing, but the value itself is only safely readable after the
 // claim. Each slot therefore carries an atomically readable shadow of the
 // entry's color mask: two uint64 words (capacity <= colorset.InlineColors,
@@ -73,7 +73,7 @@ type ChaseLev[T any] struct {
 
 // clSlot is one buffer cell. readers counts thieves between claim recheck
 // and copy-out. The embedded colorShadow mirrors the entry's color mask
-// in atomically readable words (see shadow.go) so colored gates can run
+// in atomically readable words (see shadow.go) so steal gates can run
 // before the claim CAS.
 type clSlot[T any] struct {
 	readers atomic.Int32
@@ -235,112 +235,53 @@ func (d *ChaseLev[T]) StealTop() (Entry[T], StealOutcome) {
 	return d.claim(buf.slot(t), t)
 }
 
-// StealTopColored removes the oldest item only if its color mask contains
-// color.
+// Steal removes the oldest item if its color shadow passes gate, and
+// with max != 1 up to BatchSize(n, max) oldest items during the same
+// victim visit.
+//
+// A batch is NOT one atomic multi-item pop, and it cannot soundly be one:
+// a batch CAS of top from t to t+k (after reading slots t..t+k-1) would
+// race with the owner's PopBottom, which synchronizes with thieves through
+// top only when it takes the LAST element (bottom-1 == top). While the
+// thief holds its candidate range the owner may pop elements inside
+// (t, t+k) from the bottom without ever touching top, so the thief's CAS
+// would retroactively claim items the owner already executed — duplicated
+// work. Instead the batch is taken as up to k independent single-element
+// CASes, each individually linearizable; the batch still amortizes the
+// thief's victim scan and remote cache-miss latency over one visit, which
+// is what the cross-socket protocol needs. A lost race or emptied deque
+// mid-batch simply ends the batch early.
 //
 //nabbit:noalloc
-func (d *ChaseLev[T]) StealTopColored(color int) (Entry[T], StealOutcome) {
-	var zero Entry[T]
+func (d *ChaseLev[T]) Steal(gate *colorset.Set, max int, buf []Entry[T]) ([]Entry[T], StealOutcome) {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	if b <= t {
-		return zero, StealEmpty
+		return buf, StealEmpty
 	}
-	buf := d.buf.Load()
-	s := buf.slot(t)
-	if !s.shadow.has(color) {
+	s := d.buf.Load().slot(t)
+	if gate != nil && !s.shadow.intersects(*gate) {
 		// Re-validate that the slot we inspected still serves the top
 		// index; if not, the miss verdict is stale and the caller should
 		// retry.
 		if d.top.Load() != t {
-			return zero, StealAbort
+			return buf, StealAbort
 		}
-		return zero, StealMiss
+		return buf, StealMiss
 	}
-	return d.claim(s, t)
-}
-
-// StealTopMasked removes the oldest item only if its color mask intersects
-// mask.
-//
-//nabbit:noalloc
-func (d *ChaseLev[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
-	var zero Entry[T]
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if b <= t {
-		return zero, StealEmpty
-	}
-	buf := d.buf.Load()
-	s := buf.slot(t)
-	if !s.shadow.intersects(mask) {
-		// Same stale-verdict re-validation as StealTopColored.
-		if d.top.Load() != t {
-			return zero, StealAbort
-		}
-		return zero, StealMiss
-	}
-	return d.claim(s, t)
-}
-
-// StealHalf removes up to min(ceil(n/2), max) of the oldest items during a
-// single victim visit.
-//
-// Unlike the mutex deque this is NOT one atomic multi-item pop, and it
-// cannot soundly be one: a batch CAS of top from t to t+k (after reading
-// slots t..t+k-1) would race with the owner's PopBottom, which
-// synchronizes with thieves through top only when it takes the LAST
-// element (bottom-1 == top). While the thief holds its candidate range the
-// owner may pop elements inside (t, t+k) from the bottom without ever
-// touching top, so the thief's CAS would retroactively claim items the
-// owner already executed — duplicated work. Instead the batch is taken as
-// up to k independent single-element CASes, each individually
-// linearizable; the batch still amortizes the thief's victim scan and
-// remote cache-miss latency over one visit, which is what the cross-socket
-// protocol needs. A lost race or emptied deque mid-batch simply ends the
-// batch early.
-func (d *ChaseLev[T]) StealHalf(max int) ([]Entry[T], StealOutcome) {
-	n := d.bottom.Load() - d.top.Load()
-	if n <= 0 {
-		return nil, StealEmpty
-	}
-	k := batchSize(int(n), max)
-	out := make([]Entry[T], 0, k)
-	for len(out) < k {
-		e, o := d.StealTop()
-		if o != StealOK {
-			if len(out) > 0 {
-				return out, StealOK
-			}
-			return nil, o
-		}
-		out = append(out, e)
-	}
-	return out, StealOK
-}
-
-// StealHalfColored is StealHalf gated on the top item containing color:
-// the first element is taken with a colored steal, the rest of the batch
-// with plain steals (see StealHalf for why the batch is not atomic).
-func (d *ChaseLev[T]) StealHalfColored(color int, max int) ([]Entry[T], StealOutcome) {
-	n := d.bottom.Load() - d.top.Load()
-	if n <= 0 {
-		return nil, StealEmpty
-	}
-	k := batchSize(int(n), max)
-	first, o := d.StealTopColored(color)
+	e, o := d.claim(s, t)
 	if o != StealOK {
-		return nil, o
+		return buf, o
 	}
-	out := append(make([]Entry[T], 0, k), first)
-	for len(out) < k {
+	buf = append(buf, e)
+	for k := BatchSize(int(b-t), max); k > 1; k-- {
 		e, o := d.StealTop()
 		if o != StealOK {
 			break
 		}
-		out = append(out, e)
+		buf = append(buf, e)
 	}
-	return out, StealOK
+	return buf, StealOK
 }
 
 // Grows returns how many times the circular buffer has grown.

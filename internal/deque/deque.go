@@ -6,15 +6,15 @@ import "nabbitc/internal/colorset"
 type StealOutcome int
 
 const (
-	// StealOK: an item was stolen.
+	// StealOK: one or more items were stolen.
 	StealOK StealOutcome = iota
 	// StealEmpty: the victim deque had no items.
 	StealEmpty
-	// StealMiss: the victim's top item does not contain the thief's
-	// color (colored steals only).
+	// StealMiss: the victim's top item does not intersect the steal's
+	// gate (gated steals only).
 	StealMiss
 	// StealAbort: the attempt lost a race and should be retried
-	// elsewhere (lock-free implementation only).
+	// elsewhere (lock-free implementations only).
 	StealAbort
 )
 
@@ -34,9 +34,11 @@ func (o StealOutcome) String() string {
 	}
 }
 
-// batchSize returns how many items a steal-half takes from a deque of n
-// items: half of it rounded up, capped at max (max <= 0 means uncapped).
-func batchSize(n, max int) int {
+// BatchSize returns how many items a batched steal takes from a deque of
+// n items: half of it rounded up, capped at max (max <= 0 means
+// uncapped), and at least 1. The simulator's deque mirror calls it too,
+// so both machines size batches by one rule.
+func BatchSize(n, max int) int {
 	k := (n + 1) / 2
 	if max > 0 && k > max {
 		k = max
@@ -54,9 +56,14 @@ type Entry[T any] struct {
 	Colors colorset.Set
 }
 
-// Queue is the owner/thief protocol shared by both deque implementations.
-// PushBottom and PopBottom may be called only by the owning worker; all
+// Queue is the owner/thief protocol shared by the deque implementations.
+// PushBottom and PopBottom may be called only by the owning worker; the
 // steal methods may be called by any worker concurrently.
+//
+// A steal is one primitive: a gate on the oldest item, then a take of one
+// or more items. Steal is that primitive; StealTop is its ungated
+// single-item case, returned by value for the callers that want no
+// buffer.
 type Queue[T any] interface {
 	// PushBottom adds an item at the bottom (owner only).
 	PushBottom(e Entry[T])
@@ -65,33 +72,24 @@ type Queue[T any] interface {
 	PopBottom() (Entry[T], bool)
 	// StealTop removes and returns the oldest item regardless of color.
 	StealTop() (Entry[T], StealOutcome)
-	// StealTopColored removes the oldest item only if its color set
-	// contains color.
-	StealTopColored(color int) (Entry[T], StealOutcome)
-	// StealTopMasked removes the oldest item only if its color set
-	// intersects mask. The mask must have the same capacity as the
-	// entries' color sets (both sides are sized to the worker count).
-	// Hierarchical thieves pass their socket's color range so that any
-	// task homed in their socket qualifies, not just their own color.
-	StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome)
-	// StealHalf removes a batch of the oldest items in one visit — the
-	// batched steal used on cross-socket victims to amortize remote-steal
-	// latency. The baseline contract is up to min(ceil(n/2), max) items
-	// (max <= 0 means uncapped); the returned slice is oldest first and
-	// non-empty iff the outcome is StealOK. Implementations that cannot
-	// take several items atomically (Chase–Lev) may take them one CAS at
-	// a time under the single visit and return fewer than requested, and
-	// block-granular implementations (Block) may instead take MORE than
-	// ceil(n/2) — up to max, or a whole sealed block when uncapped —
-	// because their claim unit is a block, not an item.
-	StealHalf(max int) ([]Entry[T], StealOutcome)
-	// StealHalfColored is StealHalf gated on the top item containing
-	// color: if the victim's oldest item does not contain the thief's
-	// color it reports StealMiss and takes nothing; otherwise it steals a
-	// batch exactly as StealHalf does (later items in the batch need not
-	// contain the color — once a colored steal has paid for the remote
-	// visit, the rest of the batch rides along).
-	StealHalfColored(color int, max int) ([]Entry[T], StealOutcome)
+	// Steal removes the oldest item, and with max != 1 a batch of the
+	// oldest items, appending them to buf oldest first. It returns the
+	// extended buf; on any outcome but StealOK buf comes back unchanged.
+	//
+	// The gate decides whether to steal at all. A nil gate takes any
+	// item. A non-nil gate must intersect the oldest item's colors, or
+	// the steal reports StealMiss and takes nothing; its capacity must
+	// match the entries' color sets (both are sized to the worker count).
+	// Items taken after the oldest are not gated: once a thief has paid
+	// for the visit, the rest of the batch rides along.
+	//
+	// max == 1 takes one item. Otherwise the steal takes a batch in one
+	// visit, capped at max when max > 1 and uncapped when max <= 0. The
+	// baseline batch is BatchSize(n, max) items. Chase–Lev takes a batch
+	// one claim CAS at a time and may return fewer; Block claims whole
+	// runs of a sealed block with one CAS and may return more, up to max
+	// or the block's remainder when uncapped. See the package comment.
+	Steal(gate *colorset.Set, max int, buf []Entry[T]) ([]Entry[T], StealOutcome)
 	// Len returns the current number of items. It is advisory under
 	// concurrency.
 	Len() int

@@ -1,6 +1,8 @@
 package deque
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,21 @@ const testColors = 16
 
 func entry(v int, colors ...int) Entry[int] {
 	return Entry[int]{Value: v, Colors: colorset.Of(testColors, colors...)}
+}
+
+// gate returns a steal gate admitting the given colors.
+func gate(colors ...int) *colorset.Set {
+	g := colorset.Of(testColors, colors...)
+	return &g
+}
+
+// stealOne is a gated single-item steal.
+func stealOne(q Queue[int], g *colorset.Set) (Entry[int], StealOutcome) {
+	ents, out := q.Steal(g, 1, nil)
+	if out != StealOK {
+		return Entry[int]{}, out
+	}
+	return ents[0], out
 }
 
 // queues returns one fresh instance of every implementation.
@@ -34,8 +51,8 @@ func TestEmpty(t *testing.T) {
 			if _, out := q.StealTop(); out != StealEmpty {
 				t.Fatalf("StealTop on empty = %v, want empty", out)
 			}
-			if _, out := q.StealTopColored(1); out != StealEmpty {
-				t.Fatalf("StealTopColored on empty = %v, want empty", out)
+			if _, out := stealOne(q, gate(1)); out != StealEmpty {
+				t.Fatalf("gated steal on empty = %v, want empty", out)
 			}
 			if q.Len() != 0 {
 				t.Fatalf("Len = %d, want 0", q.Len())
@@ -88,16 +105,16 @@ func TestColoredStealMissAndHit(t *testing.T) {
 			q.PushBottom(entry(1, 3, 5))
 			q.PushBottom(entry(2, 7))
 			// Top item has colors {3,5}: thief of color 7 misses.
-			if _, out := q.StealTopColored(7); out != StealMiss {
+			if _, out := stealOne(q, gate(7)); out != StealMiss {
 				t.Fatalf("steal color 7 = %v, want miss", out)
 			}
 			// Thief of color 5 hits and takes the top item.
-			e, out := q.StealTopColored(5)
+			e, out := stealOne(q, gate(5))
 			if out != StealOK || e.Value != 1 {
 				t.Fatalf("steal color 5 = %v,%v, want value 1", e.Value, out)
 			}
 			// Now the top is {7}.
-			e, out = q.StealTopColored(7)
+			e, out = stealOne(q, gate(7))
 			if out != StealOK || e.Value != 2 {
 				t.Fatalf("steal color 7 = %v,%v, want value 2", e.Value, out)
 			}
@@ -110,7 +127,7 @@ func TestColoredStealDoesNotDisturb(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			q.PushBottom(entry(1, 2))
 			for i := 0; i < 10; i++ {
-				if _, out := q.StealTopColored(9); out != StealMiss {
+				if _, out := stealOne(q, gate(9)); out != StealMiss {
 					t.Fatalf("attempt %d = %v, want miss", i, out)
 				}
 			}
@@ -276,11 +293,15 @@ func TestConcurrentStress(t *testing.T) {
 				go func(id int) {
 					defer wg.Done()
 					r := xrand.NewWorker(99, id)
+					var buf []Entry[int]
 					for {
 						var e Entry[int]
 						var out StealOutcome
 						if r.Intn(2) == 0 {
-							e, out = q.StealTopColored(r.Intn(testColors))
+							buf, out = q.Steal(gate(r.Intn(testColors)), 1, buf[:0])
+							if out == StealOK {
+								e = buf[0]
+							}
 						} else {
 							e, out = q.StealTop()
 						}
@@ -373,9 +394,12 @@ func TestConcurrentColoredNoFalseSteal(t *testing.T) {
 				wg.Add(1)
 				go func(color int) {
 					defer wg.Done()
+					g := gate(color)
+					var buf []Entry[int]
 					for {
-						e, out := q.StealTopColored(color)
-						if out == StealOK && !e.Colors.Has(color) {
+						var out StealOutcome
+						buf, out = q.Steal(g, 1, buf[:0])
+						if out == StealOK && !buf[0].Colors.Has(color) {
 							bad.Add(1)
 						}
 						select {
@@ -403,23 +427,26 @@ func TestConcurrentColoredNoFalseSteal(t *testing.T) {
 	}
 }
 
+// TestStealTopMasked pins the multi-color gate: a steal is admitted when
+// the gate intersects the oldest item's colors, not only when it names
+// one of them exactly.
 func TestStealTopMasked(t *testing.T) {
 	for name, q := range queues() {
 		t.Run(name, func(t *testing.T) {
-			if _, out := q.StealTopMasked(colorset.Of(testColors, 1)); out != StealEmpty {
+			if _, out := stealOne(q, gate(1)); out != StealEmpty {
 				t.Fatalf("masked steal on empty = %v, want empty", out)
 			}
 			q.PushBottom(entry(1, 3, 5))
 			q.PushBottom(entry(2, 7))
 			// Mask {6,7} misses the top {3,5}.
-			if _, out := q.StealTopMasked(colorset.Of(testColors, 6, 7)); out != StealMiss {
+			if _, out := stealOne(q, gate(6, 7)); out != StealMiss {
 				t.Fatalf("disjoint mask = %v, want miss", out)
 			}
 			if q.Len() != 2 {
 				t.Fatalf("Len = %d after miss, want 2", q.Len())
 			}
 			// Mask {5,9} intersects {3,5}.
-			e, out := q.StealTopMasked(colorset.Of(testColors, 5, 9))
+			e, out := stealOne(q, gate(5, 9))
 			if out != StealOK || e.Value != 1 {
 				t.Fatalf("intersecting mask = %v,%v, want value 1", e.Value, out)
 			}
@@ -427,19 +454,21 @@ func TestStealTopMasked(t *testing.T) {
 	}
 }
 
+// TestStealHalfSemantics pins the ungated batch sizes of the per-item
+// contract: ceil(n/2) items, capped by max, at least one.
 func TestStealHalfSemantics(t *testing.T) {
 	for name, q := range queues() {
 		t.Run(name, func(t *testing.T) {
-			if _, out := q.StealHalf(4); out != StealEmpty {
-				t.Fatalf("steal-half on empty = %v, want empty", out)
+			if _, out := q.Steal(nil, 4, nil); out != StealEmpty {
+				t.Fatalf("batched steal on empty = %v, want empty", out)
 			}
 			for i := 0; i < 10; i++ {
 				q.PushBottom(entry(i, i%testColors))
 			}
 			// Half of 10 is 5, capped at 3.
-			ents, out := q.StealHalf(3)
+			ents, out := q.Steal(nil, 3, nil)
 			if out != StealOK || len(ents) != 3 {
-				t.Fatalf("steal-half = %d items,%v, want 3,ok", len(ents), out)
+				t.Fatalf("batched steal = %d items,%v, want 3,ok", len(ents), out)
 			}
 			for i, e := range ents {
 				if e.Value != i {
@@ -447,9 +476,9 @@ func TestStealHalfSemantics(t *testing.T) {
 				}
 			}
 			// 7 remain; uncapped takes ceil(7/2) = 4.
-			ents, out = q.StealHalf(0)
+			ents, out = q.Steal(nil, 0, nil)
 			if out != StealOK || len(ents) != 4 {
-				t.Fatalf("uncapped steal-half = %d items,%v, want 4,ok", len(ents), out)
+				t.Fatalf("uncapped batched steal = %d items,%v, want 4,ok", len(ents), out)
 			}
 			if q.Len() != 3 {
 				t.Fatalf("Len = %d, want 3", q.Len())
@@ -457,14 +486,16 @@ func TestStealHalfSemantics(t *testing.T) {
 			// A single remaining item is still stealable as a "half".
 			q2 := queues()[name]
 			q2.PushBottom(entry(42, 1))
-			ents, out = q2.StealHalf(8)
+			ents, out = q2.Steal(nil, 8, nil)
 			if out != StealOK || len(ents) != 1 || ents[0].Value != 42 {
-				t.Fatalf("steal-half of 1 = %v,%v", ents, out)
+				t.Fatalf("batched steal of 1 = %v,%v", ents, out)
 			}
 		})
 	}
 }
 
+// TestStealHalfColored pins that a gated batch gates only its first item:
+// a miss takes nothing, a hit drags later items of other colors along.
 func TestStealHalfColored(t *testing.T) {
 	for name, q := range queues() {
 		t.Run(name, func(t *testing.T) {
@@ -473,22 +504,114 @@ func TestStealHalfColored(t *testing.T) {
 			q.PushBottom(entry(2, 9))
 			q.PushBottom(entry(3, 9))
 			// Top has color 3: thief of color 9 misses, nothing taken.
-			if _, out := q.StealHalfColored(9, 4); out != StealMiss {
-				t.Fatalf("colored steal-half = %v, want miss", out)
+			if _, out := q.Steal(gate(9), 4, nil); out != StealMiss {
+				t.Fatalf("gated batched steal = %v, want miss", out)
 			}
 			if q.Len() != 4 {
 				t.Fatalf("Len = %d after miss, want 4", q.Len())
 			}
 			// Thief of color 3 hits and drags half the deque along, even
 			// though the later items are color 9.
-			ents, out := q.StealHalfColored(3, 4)
+			ents, out := q.Steal(gate(3), 4, nil)
 			if out != StealOK || len(ents) != 2 {
-				t.Fatalf("colored steal-half = %d items,%v, want 2,ok", len(ents), out)
+				t.Fatalf("gated batched steal = %d items,%v, want 2,ok", len(ents), out)
 			}
 			if ents[0].Value != 0 || ents[1].Value != 1 {
 				t.Fatalf("batch = %v, want values 0,1", ents)
 			}
 		})
+	}
+}
+
+// TestStealContract checks one sequential Steal per case across every
+// substrate: gate × max × fill, with fills on both sides of BlockSize.
+// Entry i carries color i%testColors, so the oldest item has color 0 and
+// the items behind it carry colors no gate but nil and the socket mask
+// admit — a batch that took them proves only the oldest item is gated.
+//
+// The mutex deque is checked against the per-item rule (BatchSize oldest
+// items) and is the oracle for Chase–Lev. Block follows the per-item rule
+// while the oldest block is the owner's unsealed tail (fill <= BlockSize)
+// and the sealed-block rule otherwise: the whole block, capped by max.
+func TestStealContract(t *testing.T) {
+	gates := []struct {
+		name string
+		g    *colorset.Set
+		hit  bool
+	}{
+		{"nil", nil, true},
+		{"own", gate(0), true},
+		{"socket", gate(0, 1, 2, 3), true},
+		{"disjoint", gate(12, 13), false},
+	}
+	fills := []int{0, 1, 7, BlockSize - 1, BlockSize, BlockSize + 1, 3*BlockSize + 5}
+	// run fills a fresh q, makes one Steal into a buffer holding a -1
+	// sentinel, and returns what it took and what the deque kept, oldest
+	// first.
+	run := func(t *testing.T, q Queue[int], fill int, g *colorset.Set, max int) (taken, kept []int, out StealOutcome) {
+		for i := 0; i < fill; i++ {
+			q.PushBottom(entry(i, i%testColors))
+		}
+		buf, out := q.Steal(g, max, []Entry[int]{{Value: -1}})
+		if buf[0].Value != -1 {
+			t.Fatalf("Steal overwrote the caller's buffer prefix: %v", buf)
+		}
+		for _, e := range buf[1:] {
+			taken = append(taken, e.Value)
+		}
+		if got, want := q.Len(), fill-len(taken); got != want {
+			t.Fatalf("Len = %d after taking %d of %d, want %d", got, len(taken), fill, want)
+		}
+		for {
+			e, o := q.StealTop()
+			if o != StealOK {
+				break
+			}
+			kept = append(kept, e.Value)
+		}
+		return taken, kept, out
+	}
+	seq := func(lo, hi int) []int {
+		var v []int
+		for i := lo; i < hi; i++ {
+			v = append(v, i)
+		}
+		return v
+	}
+	for _, gc := range gates {
+		for _, max := range []int{1, 2, 8, 0, -1} {
+			for _, fill := range fills {
+				t.Run(fmt.Sprintf("%s/max=%d/fill=%d", gc.name, max, fill), func(t *testing.T) {
+					wantOut, k := StealOK, BatchSize(fill, max)
+					switch {
+					case fill == 0:
+						wantOut, k = StealEmpty, 0
+					case !gc.hit:
+						wantOut, k = StealMiss, 0
+					}
+					mt, mk, mo := run(t, NewMutex[int](4), fill, gc.g, max)
+					if mo != wantOut || !slices.Equal(mt, seq(0, k)) || !slices.Equal(mk, seq(k, fill)) {
+						t.Fatalf("mutex: %v took %v kept %v; want %v taking the oldest %d", mo, mt, mk, wantOut, k)
+					}
+					ct, ck, co := run(t, NewChaseLev[int](4), fill, gc.g, max)
+					if co != mo || !slices.Equal(ct, mt) || !slices.Equal(ck, mk) {
+						t.Fatalf("chaselev: %v took %v kept %v; mutex %v took %v kept %v", co, ct, ck, mo, mt, mk)
+					}
+					if wantOut == StealOK && fill > BlockSize {
+						// The oldest block is sealed: it moves whole,
+						// capped by max.
+						k = BlockSize
+						if max > 0 && k > max {
+							k = max
+						}
+					}
+					bt, bk, bo := run(t, NewBlock[int](4), fill, gc.g, max)
+					if bo != wantOut || !slices.Equal(bt, seq(0, k)) || !slices.Equal(bk, seq(k, fill)) {
+						t.Fatalf("block: %v took %v kept %v; want %v taking the oldest %d", bo, bt, bk, wantOut, k)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -530,29 +653,29 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 							taken.Add(1)
 						}
 					}
+					var buf []Entry[int]
 					for {
-						var ents []Entry[int]
-						var out StealOutcome
+						var g *colorset.Set
 						if r.Intn(2) == 0 {
-							ents, out = q.StealHalf(r.Intn(8) + 1)
-						} else {
-							ents, out = q.StealHalfColored(r.Intn(testColors), r.Intn(8)+1)
+							g = gate(r.Intn(testColors))
 						}
+						var out StealOutcome
+						buf, out = q.Steal(g, r.Intn(8)+1, buf[:0])
 						if out == StealOK {
-							if len(ents) == 0 {
+							if len(buf) == 0 {
 								t.Error("StealOK with empty batch")
 								return
 							}
-							consume(ents)
+							consume(buf)
 						}
 						select {
 						case <-done:
 							for {
-								ents, out := q.StealHalf(0)
+								buf, out = q.Steal(nil, 0, buf[:0])
 								if out != StealOK {
 									return
 								}
-								consume(ents)
+								consume(buf)
 							}
 						default:
 						}
@@ -581,7 +704,7 @@ func TestConcurrentStealHalfStress(t *testing.T) {
 			close(done)
 			wg.Wait()
 			for {
-				ents, out := q.StealHalf(0)
+				ents, out := q.Steal(nil, 0, nil)
 				if out != StealOK {
 					break
 				}
@@ -627,9 +750,12 @@ func TestConcurrentStealHalfColoredFirstItem(t *testing.T) {
 				wg.Add(1)
 				go func(color int) {
 					defer wg.Done()
+					g := gate(color)
+					var buf []Entry[int]
 					for {
-						ents, out := q.StealHalfColored(color, 4)
-						if out == StealOK && !ents[0].Colors.Has(color) {
+						var out StealOutcome
+						buf, out = q.Steal(g, 4, buf[:0])
+						if out == StealOK && !buf[0].Colors.Has(color) {
 							bad.Add(1)
 						}
 						select {
@@ -742,7 +868,7 @@ func TestUnboxedSlotIntegrity(t *testing.T) {
 			r := xrand.NewWorker(7, id)
 			for {
 				color := r.Intn(testColors)
-				if e, out := q.StealTopColored(color); out == StealOK {
+				if e, out := stealOne(q, gate(color)); out == StealOK {
 					if !e.Colors.Has(color) {
 						bad.Add(1)
 					}

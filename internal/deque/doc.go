@@ -12,6 +12,15 @@
 // committing to a steal. Here each deque item carries a colorset.Set,
 // which is the same structure without the parallel-array bookkeeping.
 //
+// That makes a steal one primitive, Queue.Steal: a gate on the oldest
+// item, then a take of one or more items. The gate is a color mask the
+// oldest item's colors must intersect (nil takes anything): the thief's
+// own color as a singleton mask, or its socket's colors for hierarchical
+// thieves. The take is one item or a batch, appended to a buffer the
+// caller owns, so neither shape allocates. The scheduler decides the gate
+// and the batch cap per steal tier (see sched.Plan.Gate); the deques only
+// implement the primitive. StealTop is its ungated single-item case.
+//
 // Three implementations share the Queue interface: Mutex (a ring buffer
 // under a lock; the engine default for flat policies — per-deque
 // contention is a single owner plus occasional thieves, so an uncontended
@@ -48,7 +57,7 @@
 //     held across the thief's recheck-claim-copy window; the owner's push
 //     spins (a handful of instructions, bounded) until it drains.
 //
-//  4. Color shadows. A colored thief must inspect the top entry's color
+//  4. Color shadows. A gated thief must inspect the top entry's color
 //     mask before claiming, which rule 2 forbids for the value itself.
 //     Each slot therefore keeps an atomically readable shadow of the
 //     mask: two uint64 words covering colorset.InlineColors colors, with
@@ -58,10 +67,9 @@
 //
 // Every slot access is ordered by a bottom, top, or reader-count edge, so
 // the protocol is race-free under the Go memory model (and under the race
-// detector), not merely "benign". Batched steals (StealHalf and
-// StealHalfColored) remain sequences of single-element claims; see the
-// method comments for why a multi-item CAS batch would be unsound against
-// an owner popping inside the candidate range.
+// detector), not merely "benign". Batched steals remain sequences of
+// single-element claims; see ChaseLev.Steal for why a multi-item CAS batch
+// would be unsound against an owner popping inside the candidate range.
 //
 // # Design note: the block deque's single-CAS batch steal
 //
@@ -86,9 +94,9 @@
 // recycle through an owner-private free list (epoch bump, drain the
 // per-block reader count, clear slots), so steady-state pushes allocate
 // nothing and Grows() counts block-list growth exactly as the other
-// substrates count buffer growth. Colored steals keep the slot shadow
+// substrates count buffer growth. Gated steals keep the slot shadow
 // gate (rule 4) and add a per-block color summary — the owner ORs each
-// pushed mask into two words, so a colored miss rejects a whole block in
+// pushed mask into two words, so a gate miss rejects a whole block in
 // O(1) without touching any slot.
 //
 // The cost of block-granular claiming is victim order: a whole-block
@@ -97,6 +105,6 @@
 // Chase–Lev would produce (per-substrate schedules stay deterministic
 // for a fixed interleaving, and every item is still consumed exactly
 // once; cross-substrate comparisons therefore check computed-sets, not
-// byte-identical schedules). StealHalf on a sealed block may also exceed
-// the baseline ceil(n/2) contract — the claim unit is the block.
+// byte-identical schedules). A batched Steal on a sealed block may also
+// exceed the baseline BatchSize contract — the claim unit is the block.
 package deque

@@ -87,101 +87,41 @@ func (d *Mutex[T]) StealTop() (Entry[T], StealOutcome) {
 		var zero Entry[T]
 		return zero, StealEmpty
 	}
-	e := d.buf[d.head]
-	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) % len(d.buf)
-	d.n--
+	e := d.takeTopLocked()
 	d.mu.Unlock()
 	return e, StealOK
 }
 
-// StealTopColored removes the oldest item only if its color set contains
-// color; otherwise it reports StealMiss and leaves the deque unchanged.
+// Steal removes the oldest item, or a batch of BatchSize(n, max) oldest
+// items, if the oldest passes gate. The batch is taken under one lock
+// acquisition, so unlike Chase–Lev it is a true atomic batch.
 //
 //nabbit:noalloc
-func (d *Mutex[T]) StealTopColored(color int) (Entry[T], StealOutcome) {
+func (d *Mutex[T]) Steal(gate *colorset.Set, max int, buf []Entry[T]) ([]Entry[T], StealOutcome) {
 	d.mu.Lock()
-	var zero Entry[T]
 	if d.n == 0 {
 		d.mu.Unlock()
-		return zero, StealEmpty
+		return buf, StealEmpty
 	}
-	if !d.buf[d.head].Colors.Has(color) {
+	if gate != nil && !d.buf[d.head].Colors.Intersects(*gate) {
 		d.mu.Unlock()
-		return zero, StealMiss
+		return buf, StealMiss
 	}
+	for k := BatchSize(d.n, max); k > 0; k-- {
+		buf = append(buf, d.takeTopLocked())
+	}
+	d.mu.Unlock()
+	return buf, StealOK
+}
+
+// takeTopLocked removes the oldest item; the caller holds the lock and
+// guarantees the deque is not empty.
+func (d *Mutex[T]) takeTopLocked() Entry[T] {
 	e := d.buf[d.head]
 	d.buf[d.head] = Entry[T]{}
 	d.head = (d.head + 1) % len(d.buf)
 	d.n--
-	d.mu.Unlock()
-	return e, StealOK
-}
-
-// StealTopMasked removes the oldest item only if its color set intersects
-// mask; otherwise it reports StealMiss and leaves the deque unchanged.
-//
-//nabbit:noalloc
-func (d *Mutex[T]) StealTopMasked(mask colorset.Set) (Entry[T], StealOutcome) {
-	d.mu.Lock()
-	var zero Entry[T]
-	if d.n == 0 {
-		d.mu.Unlock()
-		return zero, StealEmpty
-	}
-	if !d.buf[d.head].Colors.Intersects(mask) {
-		d.mu.Unlock()
-		return zero, StealMiss
-	}
-	e := d.buf[d.head]
-	d.buf[d.head] = Entry[T]{}
-	d.head = (d.head + 1) % len(d.buf)
-	d.n--
-	d.mu.Unlock()
-	return e, StealOK
-}
-
-// stealBatchLocked removes k items from the top; the caller holds the lock
-// and guarantees k <= d.n.
-func (d *Mutex[T]) stealBatchLocked(k int) []Entry[T] {
-	out := make([]Entry[T], k)
-	for i := range out {
-		out[i] = d.buf[d.head]
-		d.buf[d.head] = Entry[T]{}
-		d.head = (d.head + 1) % len(d.buf)
-	}
-	d.n -= k
-	return out
-}
-
-// StealHalf removes up to min(ceil(n/2), max) of the oldest items under a
-// single lock acquisition — a true atomic batch.
-func (d *Mutex[T]) StealHalf(max int) ([]Entry[T], StealOutcome) {
-	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		return nil, StealEmpty
-	}
-	out := d.stealBatchLocked(batchSize(d.n, max))
-	d.mu.Unlock()
-	return out, StealOK
-}
-
-// StealHalfColored is StealHalf gated on the top item containing color; on
-// a miss nothing is taken.
-func (d *Mutex[T]) StealHalfColored(color int, max int) ([]Entry[T], StealOutcome) {
-	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		return nil, StealEmpty
-	}
-	if !d.buf[d.head].Colors.Has(color) {
-		d.mu.Unlock()
-		return nil, StealMiss
-	}
-	out := d.stealBatchLocked(batchSize(d.n, max))
-	d.mu.Unlock()
-	return out, StealOK
+	return e
 }
 
 // Len returns the number of items.

@@ -8,7 +8,7 @@ import (
 
 // colorShadow is an atomically readable copy of an entry's color mask,
 // maintained beside the (plain, claim-guarded) entry value so thieves can
-// run colored-steal gates before they are allowed to touch the value
+// run steal gates before they are allowed to touch the value
 // itself. Two inline uint64 words cover capacities up to
 // colorset.InlineColors (128 colors — every run at the paper's 80-worker
 // scale); larger sets fall back to a pointer at an immutable boxed copy.
@@ -62,21 +62,6 @@ func (s *colorShadow) copyFrom(o *colorShadow) {
 	s.lo.Store(o.lo.Load())
 	s.hi.Store(o.hi.Load())
 	s.big.Store(o.big.Load())
-}
-
-// has reports whether the shadow contains color. The verdict may be
-// stale; see the type comment.
-func (s *colorShadow) has(color int) bool {
-	if big := s.big.Load(); big != nil {
-		return big.Has(color)
-	}
-	if color < 0 || color >= colorset.InlineColors {
-		return false
-	}
-	if color < 64 {
-		return s.lo.Load()&(1<<uint(color)) != 0
-	}
-	return s.hi.Load()&(1<<uint(color-64)) != 0
 }
 
 // intersects reports whether the shadow intersects mask. The verdict may

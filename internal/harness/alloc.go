@@ -114,9 +114,12 @@ func allocScenarios() []struct {
 					q.PopBottom()
 				}
 			}
+			gate := e.Colors
+			buf := make([]deque.Entry[int], 0, 1)
 			return func() {
 				q.PushBottom(e)
-				if _, out := q.StealTopColored(3); out != deque.StealOK {
+				var out deque.StealOutcome
+				if buf, out = q.Steal(&gate, 1, buf[:0]); out != deque.StealOK {
 					panic("alloc: colored steal missed its own color")
 				}
 			}

@@ -251,11 +251,13 @@ func wallclockStealTable(cfg WallclockConfig) (*perf.Table, error) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
+						var buf []deque.Entry[int]
 						for {
-							batch, out := q.StealHalf(0)
+							var out deque.StealOutcome
+							buf, out = q.Steal(nil, 0, buf[:0])
 							switch out {
 							case deque.StealOK:
-								stolen.Add(int64(len(batch)))
+								stolen.Add(int64(len(buf)))
 							case deque.StealEmpty:
 								return
 							}

@@ -90,6 +90,7 @@ type Budgets struct {
 //
 // Plans are held by value in each worker; the int32 fields keep one small.
 type Plan struct {
+	own             colorset.Set // the worker's own color, as a mask
 	socket          colorset.Set // colors homed in the worker's socket
 	self, lo, hi, n int32
 	budget          [NumTiers]int32
@@ -103,6 +104,7 @@ func NewPlan(b Budgets, topo numa.Topology, self int) Plan {
 	n := topo.Workers
 	lo, hi := topo.SocketWorkers(self)
 	p := Plan{
+		own:         colorset.Of(n, self),
 		socket:      colorset.New(n),
 		self:        int32(self),
 		lo:          int32(lo),
@@ -181,23 +183,29 @@ func (p *Plan) Batch(v int) int {
 	return 0
 }
 
-// Admits reports whether a probe of tier t may take an item advertising
-// colors: colored tiers want the thief's own color, or for
-// TierSocketColored any color of its socket; random tiers take anything.
-func (p *Plan) Admits(t Tier, colors colorset.Set) bool {
+// Gate returns the mask a probe of tier t gates its steal on, which the
+// oldest item's colors must intersect: the thief's own color for
+// TierOwnColor and TierGlobalColored, every color of its socket for
+// TierSocketColored, and nil (take anything) for the random tiers. The
+// real engine hands it to deque.Queue.Steal; the simulator reads it
+// through Admits.
+func (p *Plan) Gate(t Tier) *colorset.Set {
 	switch t {
 	case TierOwnColor, TierGlobalColored:
-		return colors.Has(int(p.self))
+		return &p.own
 	case TierSocketColored:
-		return colors.Intersects(p.socket)
+		return &p.socket
 	default:
-		return true
+		return nil
 	}
 }
 
-// Socket returns the colors homed in the worker's socket, the mask of
-// TierSocketColored probes.
-func (p *Plan) Socket() colorset.Set { return p.socket }
+// Admits reports whether a probe of tier t may take an item advertising
+// colors.
+func (p *Plan) Admits(t Tier, colors colorset.Set) bool {
+	gate := p.Gate(t)
+	return gate == nil || colors.Intersects(*gate)
+}
 
 // GiveUp returns how many probes an enforced first colored steal may make
 // before the worker gives up on it and walks the plan instead.

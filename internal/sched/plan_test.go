@@ -142,6 +142,40 @@ func TestPlan(t *testing.T) {
 }
 
 func TestPlanAdmits(t *testing.T) {
+	// Gate: each tier's mask, for a flat, a hierarchical and a
+	// single-socket plan. Random tiers are ungated; the colored tiers gate
+	// on the thief's own color or on its socket's colors, whether or not
+	// the plan budgets them.
+	colored := Budgets{Colored: true, GlobalColored: 4}
+	hier := Budgets{Colored: true, Hierarchical: true, OwnColor: 2, SocketColored: 2,
+		SocketRandom: 2, GlobalColored: 4, StealBatch: 8}
+	for _, tc := range []struct {
+		name        string
+		b           Budgets
+		topo        numa.Topology
+		self        int
+		own, socket []int
+	}{
+		{"flat", colored, numa.Paper(20), 3, []int{3}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"hierarchical", hier, numa.Topology{Workers: 8, CoresPerDomain: 4}, 5, []int{5}, []int{4, 5, 6, 7}},
+		{"single-socket", hier, numa.Paper(6), 0, []int{0}, []int{0, 1, 2, 3, 4, 5}},
+	} {
+		p := NewPlan(tc.b, tc.topo, tc.self)
+		want := [NumTiers]*colorset.Set{}
+		own, socket := colorset.Of(tc.topo.Workers, tc.own...), colorset.Of(tc.topo.Workers, tc.socket...)
+		want[TierOwnColor], want[TierGlobalColored], want[TierSocketColored] = &own, &own, &socket
+		for tier := Tier(0); tier < NumTiers; tier++ {
+			got := p.Gate(tier)
+			if (got == nil) != (want[tier] == nil) || got != nil && !got.Equal(*want[tier]) {
+				t.Errorf("%s: Gate(%v) = %v, want %v", tc.name, tier, got, want[tier])
+			}
+			if got := got != nil; got != tier.Colored() {
+				t.Errorf("%s: Gate(%v) gated = %v, but Colored() = %v", tc.name, tier, got, tier.Colored())
+			}
+		}
+	}
+
+	// Admits: what each tier's gate lets through on the hierarchical plan.
 	p := NewPlan(Budgets{Colored: true, Hierarchical: true}, numa.Topology{Workers: 8, CoresPerDomain: 4}, 1)
 	names := []string{"own", "peer", "remote"}
 	masks := []colorset.Set{colorset.Of(8, 1), colorset.Of(8, 3), colorset.Of(8, 6)}

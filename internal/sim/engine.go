@@ -92,25 +92,23 @@ func (d *wdeque) stealTop() (entry, bool) {
 // virtual-time mirror of the real deques' batched steal. The simulator is
 // single-threaded, so unlike Chase–Lev this batch really is atomic.
 //
-// Per-item substrates take min(ceil(n/2), max). With block set, the batch
-// mirrors the block deque's sealed-block claim instead: everything left
-// in the oldest 32-entry block (which may exceed ceil(n/2)), falling back
-// to half-batching only when the remaining items all sit in the newest,
-// unsealed block — the same legal victim-order deviation the real
-// substrate documents.
+// Per-item substrates take deque.BatchSize(n, max), the real deques'
+// rule. With block set, the batch mirrors the block deque's sealed-block
+// claim instead: everything left in the oldest 32-entry block (which may
+// exceed ceil(n/2)), capped by max, falling back to half-batching only
+// when the remaining items all sit in the newest, unsealed block — the
+// same legal victim-order deviation the real substrate documents.
 func (d *wdeque) stealHalf(max int) []entry {
 	n := d.len()
 	if n == 0 {
 		return nil
 	}
-	k := (n + 1) / 2
-	if d.block {
-		if remain := deque.BlockSize - int(d.absStolen%deque.BlockSize); n > remain {
-			k = remain
+	k := deque.BatchSize(n, max)
+	if remain := deque.BlockSize - int(d.absStolen%deque.BlockSize); d.block && n > remain {
+		k = remain
+		if max > 0 && k > max {
+			k = max
 		}
-	}
-	if max > 0 && k > max {
-		k = max
 	}
 	out := make([]entry, k)
 	for i := range out {
